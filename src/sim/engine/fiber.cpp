@@ -1,6 +1,15 @@
+// A fortified _longjmp (__longjmp_chk) aborts on a jump to a lower stack
+// address unless it runs on a sigaltstack, which rules out switching between
+// fiber stacks. Undefined before the first include so it never takes effect.
+#undef _FORTIFY_SOURCE
+
 #include "ttsim/sim/fiber.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+
 #include <cstdint>
+#include <cstdlib>
 
 // ASan tracks one stack per thread; without annotations, a context switch
 // onto a fiber stack (or an exception thrown on one — __asan_handle_no_return
@@ -28,11 +37,14 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
 
 // TSan's model is different: one shadow context per fiber, created/destroyed
 // explicitly, with __tsan_switch_to_fiber called immediately before each
-// swapcontext. Without it TSan attributes the fiber's accesses to the
-// scheduler's stack and dies on its own bookkeeping. The simulator is
-// single-threaded; the annotations only keep TSan's per-"thread" state
-// coherent so the rest of the build (host code, future threaded frontends)
-// can be checked.
+// switch. Without it TSan attributes the fiber's accesses to the scheduler's
+// stack and dies on its own bookkeeping. TSan also intercepts
+// _setjmp/_longjmp and files each jmp_buf under the current fiber context,
+// so every _setjmp below runs before the __tsan_switch_to_fiber that leaves
+// its side, and every _longjmp after the one that enters the target's side.
+// The simulator is single-threaded; the annotations only keep TSan's
+// per-"thread" state coherent so the rest of the build (host code, future
+// threaded frontends) can be checked.
 #if defined(__SANITIZE_THREAD__)
 #define TTSIM_TSAN_FIBERS 1
 #elif defined(__has_feature)
@@ -53,14 +65,27 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 namespace ttsim::sim {
 namespace {
 thread_local Fiber* t_current_fiber = nullptr;
+
+// Stacks are mapped directly instead of coming from the heap: a mapping goes
+// back to the OS when its fiber dies, and pages a kernel never touches never
+// become resident. Heap stacks fragment the heap (after the first free,
+// glibc's dynamic mmap threshold serves 128 KiB blocks from it), so a
+// process that builds one engine after another grows with every engine.
+char* map_stack(std::size_t bytes) {
+  void* stack = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  TTSIM_CHECK_MSG(stack != MAP_FAILED, "cannot map a " << bytes << "-byte fiber stack");
+  return static_cast<char*>(stack);
 }
+}  // namespace
+
+void Fiber::StackUnmapper::operator()(char* stack) const { munmap(stack, bytes); }
 
 Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
-    : entry_(std::move(entry)),
-      stack_(new char[stack_bytes]),
-      stack_bytes_(stack_bytes) {
+    : entry_(std::move(entry)), stack_bytes_(stack_bytes) {
   TTSIM_CHECK(entry_ != nullptr);
   TTSIM_CHECK(stack_bytes_ >= 16 * 1024);
+  stack_ = {map_stack(stack_bytes_), StackUnmapper{stack_bytes_}};
 }
 
 Fiber::~Fiber() {
@@ -78,8 +103,6 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
   auto* self = reinterpret_cast<Fiber*>(
       (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
   self->run();
-  // Not reached: run() exits via an explicit swapcontext (uc_link stays set
-  // as a belt-and-braces fallback).
 }
 
 void Fiber::run() {
@@ -108,27 +131,31 @@ void Fiber::run() {
   __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
   // Leave via an explicit switch rather than returning through the
-  // trampoline and uc_link: the sanitizer annotations above must sit at the
-  // real switch point. TSan in particular maintains a per-context shadow
-  // call stack via function entry/exit hooks — unwinding run() and the
-  // trampoline after the switch annotation would pop those frames on the
-  // *resumer's* shadow stack and corrupt it.
-  swapcontext(&ctx_, &return_ctx_);
+  // trampoline: the sanitizer annotations above must sit at the real switch
+  // point. TSan in particular maintains a per-context shadow call stack via
+  // function entry/exit hooks — unwinding run() and the trampoline after the
+  // switch annotation would pop those frames on the *resumer's* shadow stack
+  // and corrupt it. Nothing on this stack needs destructing any more.
+  _longjmp(resumer_jb_, 1);
 }
 
 void Fiber::resume() {
   TTSIM_CHECK_MSG(!running_, "fiber resumed re-entrantly");
   TTSIM_CHECK_MSG(!finished_, "resume() on a finished fiber");
+  // First entry only: a context that starts run() on the fiber's stack. It
+  // is built and switched to in this frame rather than a helper's: the
+  // switching frame is left by _longjmp, and under ASan an abandoned helper
+  // frame would leave its stack poison behind on the resumer's stack.
+  ucontext_t entry_ctx;
   if (!started_) {
-    TTSIM_CHECK(getcontext(&ctx_) == 0);
-    ctx_.uc_stack.ss_sp = stack_.get();
-    ctx_.uc_stack.ss_size = stack_bytes_;
-    ctx_.uc_link = &return_ctx_;
+    TTSIM_CHECK(getcontext(&entry_ctx) == 0);
+    entry_ctx.uc_stack.ss_sp = stack_.get();
+    entry_ctx.uc_stack.ss_size = stack_bytes_;
+    entry_ctx.uc_link = nullptr;  // run() never returns; it leaves by _longjmp
     const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
+    makecontext(&entry_ctx, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
                 static_cast<unsigned>(ptr >> 32),
                 static_cast<unsigned>(ptr & 0xFFFFFFFFu));
-    started_ = true;
   }
   Fiber* prev = t_current_fiber;
   t_current_fiber = this;
@@ -138,14 +165,23 @@ void Fiber::resume() {
   __sanitizer_start_switch_fiber(&resumer_fake_stack, stack_.get(),
                                  stack_bytes_);
 #endif
+  // The resumer's side is re-captured every time: a fiber may be resumed
+  // from different points (scheduler, nested resumes) across its life, and
+  // yield() must return to the latest one.
+  if (_setjmp(resumer_jb_) == 0) {
 #ifdef TTSIM_TSAN_FIBERS
-  // The resumer's context is re-captured every time: a fiber may be resumed
-  // from different points (scheduler, nested resumes) across its life.
-  if (!tsan_fiber_) tsan_fiber_ = __tsan_create_fiber(0);
-  tsan_caller_ = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(tsan_fiber_, 0);
+    if (!tsan_fiber_) tsan_fiber_ = __tsan_create_fiber(0);
+    tsan_caller_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  TTSIM_CHECK(swapcontext(&return_ctx_, &ctx_) == 0);
+    if (started_) _longjmp(fiber_jb_, 1);
+    started_ = true;
+    // Returns only if the switch failed: the fiber comes back through
+    // resumer_jb_, and the context saved in `unused` is never resumed.
+    ucontext_t unused;
+    swapcontext(&unused, &entry_ctx);
+    std::abort();
+  }
 #ifdef TTSIM_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
 #endif
@@ -159,10 +195,12 @@ void Fiber::yield() {
   __sanitizer_start_switch_fiber(&asan_fake_stack_, asan_caller_bottom_,
                                  asan_caller_size_);
 #endif
+  if (_setjmp(fiber_jb_) == 0) {
 #ifdef TTSIM_TSAN_FIBERS
-  __tsan_switch_to_fiber(tsan_caller_, 0);
+    __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
-  TTSIM_CHECK(swapcontext(&ctx_, &return_ctx_) == 0);
+    _longjmp(resumer_jb_, 1);
+  }
 #ifdef TTSIM_ASAN_FIBERS
   // Re-entered: refresh the resumer's bounds (the next yield switches back
   // to wherever resume() is running now).

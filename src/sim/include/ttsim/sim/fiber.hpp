@@ -1,15 +1,17 @@
 #pragma once
 /// \file fiber.hpp
-/// Cooperative fibers (ucontext-based) underpinning the simulator. Each
-/// simulated baby-core kernel runs on its own fiber; the scheduler switches
-/// between fibers only at simulation API calls, making runs fully
-/// deterministic and independent of host thread timing.
+/// Cooperative fibers underpinning the simulator. Each simulated baby-core
+/// kernel runs on its own fiber; the scheduler switches between fibers only
+/// at simulation API calls, making runs fully deterministic and independent
+/// of host thread timing. A fiber is entered once through
+/// makecontext/swapcontext; every later switch is a _setjmp/_longjmp pair,
+/// which (unlike swapcontext) makes no signal-mask syscall.
 
+#include <csetjmp>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <ucontext.h>
 
 #include "ttsim/common/check.hpp"
 
@@ -32,8 +34,9 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Switch from the caller (scheduler) into the fiber. Returns when the
-  /// fiber yields or finishes. Must not be called re-entrantly.
+  /// Switch from the caller (scheduler or another fiber) into the fiber.
+  /// Returns when the fiber yields or finishes. Must not be called
+  /// re-entrantly.
   void resume();
 
   /// Switch from inside the fiber back to its resumer. Only callable on the
@@ -58,13 +61,17 @@ class Fiber {
 
  private:
   static void trampoline(unsigned hi, unsigned lo);
-  void run();
+  [[noreturn]] void run();
 
   std::function<void()> entry_;
-  std::unique_ptr<char[]> stack_;
+  struct StackUnmapper {
+    std::size_t bytes;
+    void operator()(char* stack) const;
+  };
   std::size_t stack_bytes_;
-  ucontext_t ctx_{};
-  ucontext_t return_ctx_{};
+  std::unique_ptr<char, StackUnmapper> stack_;
+  std::jmp_buf fiber_jb_{};    ///< where yield() parked the fiber
+  std::jmp_buf resumer_jb_{};  ///< where the latest resume() waits
   bool started_ = false;
   bool finished_ = false;
   bool running_ = false;

@@ -98,6 +98,8 @@ class KernelCtxBase {
     kernel_name_ = std::move(name);
     verify_ = verifier;
     vtid_ = vtid;
+    cb_producer_noted_ = 0;
+    cb_consumer_noted_ = 0;
   }
 
  protected:
@@ -120,6 +122,11 @@ class KernelCtxBase {
   /// `sem_id` on `dst_core` (Device friendship does not extend to the
   /// derived mover context, hence the base-class forwarder).
   void note_remote_sem_post(int dst_core, int sem_id);
+  /// Register this kernel in the wait-for registry as a producer / consumer
+  /// of `cb_id` on its core, once per launch: a context lives for one
+  /// launch, and the bit masks below skip the registry on repeat calls.
+  void note_cb_producer(int cb_id);
+  void note_cb_consumer(int cb_id);
 
   Device& device_;
   sim::TensixCore& core_;
@@ -131,6 +138,8 @@ class KernelCtxBase {
   std::string kernel_name_;          ///< process name ("<kernel>@<core>")
   verify::Verifier* verify_ = nullptr;  ///< nullptr unless enable_verify
   int vtid_ = -1;                       ///< detector thread id
+  std::uint32_t cb_producer_noted_ = 0;  ///< bit i: registered for CB i
+  std::uint32_t cb_consumer_noted_ = 0;
 };
 
 /// API surface for the two data mover baby cores.

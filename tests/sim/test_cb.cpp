@@ -1,8 +1,11 @@
 #include "ttsim/sim/circular_buffer.hpp"
 
+#include "ttsim/sim/tensix_core.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace ttsim::sim {
@@ -175,6 +178,31 @@ TEST_F(CbTest, PipelineOverlapsProducerAndConsumer) {
   // Consumer-bound bound: 20*30 = 600 plus the initial fill (10).
   EXPECT_LE(end, 640);
   EXPECT_GE(end, 600);
+}
+
+TEST(TensixCoreCb, MissingOrOutOfRangeIdThrowsApiError) {
+  Engine engine;
+  const GrayskullSpec spec;
+  TensixCore core(engine, spec, 7, NocCoord{1, 1});
+  core.create_cb(5, 64, 2);
+  EXPECT_TRUE(core.has_cb(5));
+  EXPECT_NO_THROW(core.cb(5));
+  for (const int id : {-1, 0, 31, 32, 40}) {
+    EXPECT_FALSE(core.has_cb(id)) << id;
+    try {
+      core.cb(id);
+      FAIL() << "CB " << id << " resolved";
+    } catch (const ApiError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "CB " + std::to_string(id) + " was not configured on core 7");
+    }
+  }
+  EXPECT_THROW(core.create_cb(-1, 64, 1), CheckError);
+  EXPECT_THROW(core.create_cb(32, 64, 1), CheckError);
+  EXPECT_THROW(core.create_cb(5, 64, 1), CheckError);  // already exists
+  core.reset();
+  EXPECT_FALSE(core.has_cb(5));
+  EXPECT_THROW(core.cb(5), ApiError);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace ttsim::sim {
@@ -46,6 +48,124 @@ TEST(Fiber, CurrentTracksExecution) {
   f.resume();
   EXPECT_EQ(observed, &f);
   EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, CancelAfterYieldsRunsStackDestructors) {
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  int destroyed = 0;
+  int yields = 0;
+  Fiber* self = nullptr;
+  Fiber f([&] {
+    Guard outer{&destroyed};
+    for (;;) {
+      Guard inner{&destroyed};
+      self->yield();
+      ++yields;
+    }
+  });
+  self = &f;
+  for (int i = 0; i < 5; ++i) f.resume();
+  EXPECT_EQ(yields, 4);
+  EXPECT_EQ(destroyed, 4);  // one `inner` per completed loop iteration
+  f.cancel();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(destroyed, 6);  // the parked `inner` and `outer`
+  EXPECT_NO_THROW(f.rethrow_if_failed());
+}
+
+TEST(Fiber, ExceptionAfterYieldsPropagatesViaRethrow) {
+  Fiber* self = nullptr;
+  Fiber f([&] {
+    self->yield();
+    self->yield();
+    self->yield();
+    throw std::runtime_error("late boom");
+  });
+  self = &f;
+  for (int i = 0; i < 3; ++i) {
+    f.resume();
+    EXPECT_FALSE(f.finished());
+  }
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+  try {
+    f.rethrow_if_failed();
+    FAIL() << "expected the fiber's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "late boom");
+  }
+}
+
+TEST(Fiber, NestedResumeYieldsBackToResumingFiber) {
+  std::vector<std::string> trace;
+  Fiber* inner_self = nullptr;
+  Fiber inner([&] {
+    trace.push_back("inner1");
+    inner_self->yield();
+    trace.push_back("inner2");
+    inner_self->yield();
+    trace.push_back("inner3");
+  });
+  inner_self = &inner;
+  Fiber* outer_self = nullptr;
+  Fiber outer([&] {
+    trace.push_back("outer1");
+    inner.resume();
+    EXPECT_EQ(Fiber::current(), outer_self);
+    trace.push_back("outer2");
+    outer_self->yield();
+    trace.push_back("outer3");
+    inner.resume();
+    EXPECT_EQ(Fiber::current(), outer_self);
+    trace.push_back("outer4");
+  });
+  outer_self = &outer;
+  outer.resume();
+  EXPECT_EQ(Fiber::current(), nullptr);
+  trace.push_back("sched");
+  inner.resume();  // the same fiber, now resumed from the scheduler
+  EXPECT_EQ(Fiber::current(), nullptr);
+  trace.push_back("sched2");
+  outer.resume();
+  EXPECT_TRUE(outer.finished());
+  EXPECT_TRUE(inner.finished());
+  EXPECT_EQ(trace, (std::vector<std::string>{"outer1", "inner1", "outer2", "sched",
+                                             "inner2", "sched2", "outer3",
+                                             "inner3", "outer4"}));
+}
+
+TEST(Fiber, RoundRobinInterleavingIsDeterministic) {
+  constexpr int kFibers = 64;  // 128 KiB stack each
+  constexpr int kYields = 1000;
+  const auto run_once = [] {
+    std::vector<int> order;
+    order.reserve(static_cast<std::size_t>(kFibers) * (kYields + 1));
+    std::vector<std::unique_ptr<Fiber>> fibers;
+    for (int id = 0; id < kFibers; ++id) {
+      fibers.push_back(std::make_unique<Fiber>([&order, id] {
+        for (int i = 0; i < kYields; ++i) {
+          order.push_back(id);
+          Fiber::current()->yield();
+        }
+        order.push_back(id);
+      }));
+    }
+    for (int round = 0; round <= kYields; ++round) {
+      for (auto& f : fibers) f->resume();
+    }
+    for (auto& f : fibers) EXPECT_TRUE(f->finished());
+    return order;
+  };
+  const std::vector<int> first = run_once();
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(kFibers) * (kYields + 1));
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i], static_cast<int>(i % kFibers)) << "at step " << i;
+  }
+  EXPECT_EQ(run_once(), first);
 }
 
 TEST(Engine, TimeAdvancesWithDelay) {

@@ -277,6 +277,71 @@ TEST(VerifyGallery, TimeoutErrorCarriesWaitCycle) {
   }
 }
 
+/// The wait-for registry records each (kernel, CB, role) once per launch;
+/// a long run of pushes must not lose the producer. The bulk producer fills
+/// CB 0 many times over, then waits for an acknowledgement on CB 1 that the
+/// consumer only sends after one page more than was produced. Under a
+/// mid-flight watchdog only registry edges count, so the reported cycle
+/// shows the registry still names the producer as the consumer's waker.
+TEST(VerifyGallery, StarvedConsumerNamesBulkProducer) {
+  DeviceConfig dc = verify_config();
+  dc.sim_time_limit = 2 * kMillisecond;
+  auto dev = Device::open({}, dc);
+  auto scratch = dev->create_buffer({.size = 4096});
+
+  Program prog;
+  const std::vector<int> cores{0};
+  constexpr int kPages = 64;
+  prog.create_cb(0, cores, 2048, 4);
+  prog.create_cb(1, cores, 2048, 1);
+  prog.create_kernel(
+      KernelKind::kDataMover0, cores,
+      [](DataMoverCtx& ctx) {
+        for (int i = 0; i < kPages; ++i) {
+          ctx.cb_reserve_back(0, 1);
+          ctx.cb_push_back(0, 1);
+        }
+        ctx.cb_wait_front(1, 1);  // the ack never comes
+        ctx.cb_pop_front(1, 1);
+      },
+      "bulk_producer");
+  prog.create_kernel(
+      KernelKind::kDataMover1, cores,
+      [](DataMoverCtx& ctx) {
+        ctx.cb_reserve_back(1, 1);
+        for (int i = 0; i < kPages + 1; ++i) {  // BUG: one page too many
+          ctx.cb_wait_front(0, 1);
+          ctx.cb_pop_front(0, 1);
+        }
+        ctx.cb_push_back(1, 1);
+      },
+      "starved_consumer");
+  auto spinner = prog.create_kernel(
+      KernelKind::kDataMover0, {1},
+      [](DataMoverCtx& ctx) {
+        for (;;) {  // keeps DRAM events pending until the watchdog fires
+          ctx.noc_async_read(ctx.get_noc_addr(ctx.arg64(0)), 0, 1024);
+          ctx.noc_async_read_barrier();
+        }
+      },
+      "spinner");
+  std::vector<std::uint32_t> args;
+  Program::push_arg64(args, scratch->address());
+  prog.set_runtime_args(spinner, 1, args);
+  try {
+    dev->run_program(prog);
+    FAIL() << "watchdog did not fire";
+  } catch (const DeviceTimeoutError& e) {
+    const std::string msg = e.what();
+    EXPECT_TRUE(contains(msg, "wait cycle 1 (2 kernels)")) << msg;
+    EXPECT_TRUE(contains(msg, "bulk_producer@0: blocked on CB 1 empty")) << msg;
+    EXPECT_TRUE(contains(msg, "starved_consumer@0: blocked on CB 0 empty")) << msg;
+    EXPECT_FALSE(contains(msg, "no possible waker")) << msg;
+    const std::string diagnosis = msg.substr(msg.find("wait-for diagnosis"));
+    EXPECT_FALSE(contains(diagnosis, "spinner")) << msg;
+  }
+}
+
 /// 7. Read-ahead slot recycle (the PR 3 prologue hazard, distilled): a slot
 /// is re-targeted by a new noc_async_read while a consumer's reads of the
 /// previous landing are not yet ordered behind the issue. This is the exact
