@@ -5,8 +5,8 @@
 /// opening a device. The graphs carry real geometry (decomposition,
 /// chunking, slot-ring and slab sizing) but placeholder DRAM addresses,
 /// so they are for static checking (ir::check) and inspection (ir::dump)
-/// — the device drivers install graphs with live addresses themselves
-/// when DeviceRunConfig::lowering == LoweringPath::kIr.
+/// — the device drivers certify graphs with live addresses themselves
+/// before every row-chunk, SRAM-resident or temporal launch.
 
 #include <cstdint>
 
@@ -16,11 +16,12 @@
 
 namespace ttsim::core {
 
-/// IR graph of the Jacobi program `cfg` would launch for `p`. Supported
-/// strategies: kRowChunk, kSramResident, kTemporal (the Section-IV tiled
-/// programs predate the flow-controlled protocol the IR models); anything
-/// else throws ApiError, as do configs the device driver itself would
-/// reject (bad decomposition, temporal depth that overflows L1, ...).
+/// IR graph of the Jacobi program `cfg` would launch for `p`: the graph of
+/// general_ir_graph(jacobi_program(p), ...). Supported strategies:
+/// kRowChunk, kSramResident, kTemporal (the Section-IV tiled programs
+/// predate the flow-controlled protocol the IR models); anything else
+/// throws ApiError, as do configs the device driver itself would reject
+/// (bad decomposition, temporal depth that overflows L1, ...).
 ir::Graph jacobi_ir_graph(const JacobiProblem& p, const DeviceRunConfig& cfg,
                           std::int64_t sram_bytes = std::int64_t{1} << 20);
 

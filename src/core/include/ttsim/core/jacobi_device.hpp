@@ -14,8 +14,13 @@
 ///                         aliases CB read pointers into the mover's local
 ///                         buffer via the cb_set_rd_ptr SDK extension, with
 ///                         reads issued two batches ahead.
-/// Component toggles reproduce the Table II breakdown. Multi-core runs
-/// decompose the domain in 2-D over the worker grid (Section VII).
+/// The three tiled Section IV designs keep their own kernels (the Table I/II
+/// artefact; component toggles reproduce the Table II breakdown). Every
+/// other strategy — kRowChunk, kSramResident, kTemporal — runs Jacobi as
+/// jacobi_program(p) through the general stencil frontend (stencil.hpp):
+/// one lowering, certified by the dataflow-IR checker before each launch,
+/// bit-exact with cpu::jacobi_reference_bf16. Multi-core runs decompose the
+/// domain in 2-D over the worker grid (Section VII).
 
 #include <memory>
 #include <string>
@@ -54,18 +59,6 @@ enum class DeviceStrategy {
 
 std::string to_string(DeviceStrategy s);
 
-/// How the driver produces the kernel program. kIr (the default) builds the
-/// dataflow-IR graph of the run, proves the protocol race/deadlock-free with
-/// the static checker (src/ir) and then lowers it — the graph's emit closure
-/// invokes the hand-wired builder, so the emitted Program is bit-identical
-/// to kHandWired. kHandWired calls the builder directly, skipping the proof
-/// (the pre-IR behaviour; also what strategies without an IR model — the
-/// tiled Section-IV programs, batched multi-group launches — always use).
-enum class LoweringPath {
-  kIr,
-  kHandWired,
-};
-
 /// Table II switches: selectively disable pipeline stages while keeping the
 /// CB structure and synchronisation intact. Only honoured by the tiled
 /// (Section IV) strategies, matching the paper's methodology.
@@ -95,11 +88,11 @@ struct DeviceRunConfig {
   std::uint32_t chunk_elems = 1024;
   /// Read-ahead depth of the row-chunk reading mover: how many row batches
   /// it keeps in flight (issued but not yet consumed). 2 is the paper's
-  /// Section VI scheme and the default; deeper values grow the local row
-  /// window (2N+1 slots) and input CBs (N pages each) so more DRAM reads
-  /// overlap, which is what lifts the 64+ core runs off the bank-queueing
-  /// wall (see bench/ablation_read_ahead). Honoured by kRowChunk (and the
-  /// stencil runner); other strategies read as the paper describes them.
+  /// Section VI scheme and the default; deeper values grow the row-slot
+  /// ring (2N+3 slots) and the field stream CBs (N pages each) so more
+  /// DRAM reads overlap, which is what lifts the 64+ core runs off the
+  /// bank-queueing wall (see bench/ablation_read_ahead). Honoured by
+  /// kRowChunk; other strategies read as the paper describes them.
   int read_ahead = 2;
   /// kTemporal only: how many iterations one DRAM pass chains through SRAM
   /// (k in [1, 8]). 1 degenerates to a blocked single-sweep; the DRAM-bytes
@@ -116,10 +109,6 @@ struct DeviceRunConfig {
   bool balanced_stripes = false;
   /// Verify against the BF16-exact CPU reference after the run.
   bool verify = false;
-  /// Program production path: prove-then-lower through the dataflow IR
-  /// (default) or call the hand-wired builder directly. Both emit the same
-  /// bits; kIr additionally rejects protocol-unsound programs before launch.
-  LoweringPath lowering = LoweringPath::kIr;
 };
 
 struct DeviceRunResult {

@@ -54,7 +54,8 @@ struct ShardedRunConfig {
 struct ShardedRunResult {
   /// Assembled interior of the written (Jacobi: the only) field.
   std::vector<float> solution;
-  /// General runs: every field's assembled interior, in field order.
+  /// General runs: every field's assembled interior, in field order
+  /// (empty for run_jacobi_sharded).
   std::vector<std::vector<float>> fields;
   SimTime kernel_time = 0;    ///< sum over epochs of the slowest card's kernels
   SimTime exchange_time = 0;  ///< critical-path link time between epochs
@@ -86,12 +87,13 @@ struct ShardedCluster {
   std::vector<ttmetal::Device*> devices() const;
 };
 
-/// Solve the classic Jacobi problem sharded across `cards` (position i in
-/// the span is fabric position i). `state`, when non-null, is the global
-/// padded bf16 image to resume from (empty = start from p's initial guess)
-/// and receives the final padded image — the serving layer's
-/// checkpoint/restore hook. Throws ApiError on infeasible decompositions
-/// (unsupported strategy, a card owning fewer than k rows, too few workers).
+/// Solve the Jacobi problem sharded across `cards` (position i in the span
+/// is fabric position i): run_general_sharded on jacobi_program(p), with
+/// cfg.verify checking against cpu::jacobi_reference_bf16. `state`, when
+/// non-null, is the global padded bf16 image to resume from (empty = start
+/// from p's initial guess) and receives the final padded image. Throws
+/// ApiError on infeasible decompositions (unsupported strategy, a card
+/// owning fewer than k rows, too few workers).
 ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
                                     sim::ChipLinkFabric& fabric,
                                     const JacobiProblem& p,

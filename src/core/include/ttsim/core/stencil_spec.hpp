@@ -15,7 +15,8 @@
 /// The tap-order contract (see DESIGN.md, "Generic stencil frontend"):
 /// terms are evaluated in their listed order — each term is one rounded
 /// BF16 product weight*value, the first product seeds the accumulator and
-/// every later one is added left to right, each operation rounded to BF16.
+/// every later one is added left to right, each operation rounded to BF16;
+/// a pass's `scale`, when not 1, multiplies the finished sum once (rounded).
 /// Factories list taps in the canonical order C, W, E, N, S, NW, NE, SW,
 /// SE. Halo corner cells (outside both an edge row and an edge column)
 /// hold 0 on the device image and in the reference — diagonal taps of
@@ -44,9 +45,10 @@ struct WeightedStencil {
     return (wc != 0.0f) + (ww != 0.0f) + (we != 0.0f) + (wn != 0.0f) + (ws != 0.0f);
   }
 
-  /// The Jacobi averaging stencil expressed as weights. Note: not
-  /// arithmetically identical to the dedicated Jacobi kernel, which sums
-  /// the four neighbours first and scales once (different BF16 rounding).
+  /// The Jacobi averaging stencil expressed as four 0.25 products. It
+  /// rounds differently from Listing 1's sum-then-scale only where a
+  /// product leaves BF16's normal range (subnormals, overflow);
+  /// jacobi_program() is the exact form the device drivers run.
   static WeightedStencil jacobi() { return {0.0f, 0.25f, 0.25f, 0.25f, 0.25f}; }
 
   /// Explicit (FTCS) heat diffusion: u += r*laplacian, r = alpha*dt/dx^2.
@@ -131,14 +133,17 @@ enum class PostOp : std::uint8_t {
   kLife,
 };
 
-/// One per-cell update: target = post(sum of terms). Terms are evaluated
-/// in listed order (the tap-order contract); factories list them in
-/// canonical tap order with zero-weight taps omitted.
+/// One per-cell update: target = post(scale * sum of terms). Terms are
+/// evaluated in listed order (the tap-order contract); factories list them
+/// in canonical tap order with zero-weight taps omitted.
 struct StencilPass {
   int target = 0;                ///< field index written by this pass
   std::vector<TapTerm> terms;    ///< evaluated in order, all BF16
   PostOp post = PostOp::kNone;
   int post_self_field = 0;       ///< kLife: field supplying the survive state
+  /// Multiplies the finished tap sum once, rounded to BF16; 1 skips the
+  /// step. Lets a pass state Listing 1 exactly: sum the taps, scale once.
+  float scale = 1.0f;
 };
 
 /// Per-field geometry data: boundary values and the initial interior.
@@ -203,5 +208,12 @@ struct GeneralStencilProblem {
 /// pass, terms in the canonical order with zero-weight taps omitted) —
 /// arithmetically identical by the tap-order contract.
 GeneralStencilProblem to_general(const StencilProblem& p);
+
+/// The paper's Jacobi sweep (Listing 1) as a general program: one field
+/// carrying p's boundary values and initial guess, one pass summing W, E,
+/// N, S at weight 1 with scale 0.25 — ((W+E)+N)+S, then x0.25, the exact
+/// BF16 order of cpu::jacobi_reference_bf16. Every device Jacobi driver
+/// except the Section IV tiled kernels lowers through this program.
+GeneralStencilProblem jacobi_program(const JacobiProblem& p);
 
 }  // namespace ttsim::core

@@ -33,18 +33,16 @@ using ir::Op;
 using ir::OpKind;
 using ir::Peer;
 
-// File-local ids of the SRAM-resident lowerings (jacobi_sram.cpp /
-// stencil_sram.cpp) and the temporal lowering (jacobi_temporal.cpp).
+// File-local ids of the SRAM-resident lowering (stencil_sram.cpp) and the
+// temporal lowering (stencil_temporal.cpp).
 constexpr int kSemTopHalo = 0;
 constexpr int kSemBottomHalo = 1;
 constexpr int kSemComputeDm0 = 2;
 constexpr int kSemComputeDm1 = 3;
 constexpr int kSemRestored = 4;
-constexpr int kCbLoadBarrier = 0;  // jacobi_sram ignores sh->barrier_id
 constexpr int kSemLoaded = 0;
 constexpr int kSemComputed = 1;
 constexpr int kSemFree = 2;
-constexpr std::uint32_t kSlabBudget = (1u << 20) - 96 * 1024;
 
 Op make_op(OpKind k, int id, Count c, int pages = 1,
            Guard g = Guard::kAlways, Peer peer = Peer::kSelf,
@@ -113,10 +111,10 @@ void declare_cb(Graph& g, int id, Count pages, std::uint32_t page_size,
 
 /// Replays the simulator's bump allocator over the graph's regions at the
 /// concrete bindings. When the *launched* configuration would exhaust core
-/// SRAM, the hand-wired path raises ApiError from the allocator at launch;
-/// raise the same error here so LoweringPath::kIr reports identical
-/// diagnostics instead of a static-checker sram-overflow finding. (The
-/// checker still sweeps the declared symbol ranges for non-launched depths.)
+/// SRAM, raise the allocator's own ApiError here, so a certified launch
+/// reports the same diagnostic a direct build would instead of a
+/// static-checker sram-overflow finding. (The checker still sweeps the
+/// declared symbol ranges for non-launched depths.)
 void require_sram_fit(const Graph& g) {
   std::int64_t top = 0;
   for (const auto& r : g.regions) {
@@ -133,13 +131,16 @@ void require_sram_fit(const Graph& g) {
 }
 
 /// Accumulator-chain protocol ops of emit_tap_chain for one pass, scaled
-/// by the per-point count P. Totals per point (t = #terms):
-///   kCbGInter: t-1 of each op;  kCbGTmp: t+1 with a post-op else t-1;
-///   kCbGTmp2: 2 with a post-op. All traffic is compute-local.
+/// by the per-point count P. Totals per point (t = #terms, s = 1 when the
+/// pass has a scale): a product chain parks t-1+s pages in kCbGInter,
+/// t+1 in kCbGTmp with a post-op (else t-1) and 2 in kCbGTmp2 with a
+/// post-op; a sum-only chain parks t-2+s in kCbGInter and nothing else.
+/// All traffic is compute-local.
 void append_chain_ops(std::vector<Op>& ops, const LoweredPass& pass,
                       const Count& P) {
   const auto t = static_cast<std::int64_t>(pass.terms.size());
   const bool post = pass.post != PostOp::kNone;
+  const std::int64_t s = pass.scale_widx >= 0 ? 1 : 0;
   auto quad = [&](int cb, std::int64_t per_point) {
     if (per_point <= 0) return;
     const Count c = Count(per_point) * P;
@@ -148,215 +149,25 @@ void append_chain_ops(std::vector<Op>& ops, const LoweredPass& pass,
     ops.push_back(make_op(OpKind::kCbWait, cb, c));
     ops.push_back(make_op(OpKind::kCbPop, cb, c));
   };
+  if (pass.sum_only) {
+    quad(kCbGInter, t - 2 + s);
+    return;
+  }
   quad(kCbGTmp, post ? t + 1 : t - 1);
-  quad(kCbGInter, t - 1);
+  quad(kCbGInter, t - 1 + s);
   quad(kCbGTmp2, post ? 2 : 0);
 }
 
-// ---------------------------------------------------------------------------
-// Jacobi, kRowChunk (jacobi_rowchunk.cpp). Depth is kept symbolic: the CB
-// capacities, the slot count 2*depth+3 and the ring's reuse distance are
-// all polynomials in "depth", so the checker's verdict covers every depth
-// in the declared range, not just the launched one.
-// ---------------------------------------------------------------------------
-Graph jacobi_rowchunk_graph(const std::shared_ptr<KernelShared>& sh,
-                            std::int64_t sram_bytes) {
-  const int ncores = static_cast<int>(sh->ranges.size());
-  const auto depth = static_cast<std::uint32_t>(std::max(2, sh->read_ahead));
-  const StripGeom geo = strip_geom(sh->ranges, sh->chunk_elems);
-  const std::uint32_t sbytes = slot_bytes_of(geo.max_chunk);
-  const bool residual = sh->residual_addr != 0;
-
-  Graph g;
-  g.name = "jacobi-rowchunk";
-  g.ncores = Count(ncores);
-  g.sram_bytes = sram_bytes;
-  const Count d = Count::sym("depth");
-  const Count it = Count::sym("iters");
-  const Count P = Count::sym("points");
-  g.bindings["iters"] = sh->iterations;
-  g.bindings["depth"] = depth;
-  g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
-                         geo.nrows0 * geo.ncols0;
-  g.bindings["columns"] = geo.ncols0;
-  g.ranges["depth"] = {2, std::max<std::int64_t>(8, depth)};
-
-  declare_cb(g, kCbIn0, d, kTileBytes, "cb-in0");
-  declare_cb(g, kCbIn1, d, kTileBytes, "cb-in1");
-  declare_cb(g, kCbIn2, d, kTileBytes, "cb-in2");
-  declare_cb(g, kCbIn3, d, kTileBytes, "cb-in3");
-  declare_cb(g, kCbScalar, Count(1), kTileBytes, "cb-scalar");
-  declare_cb(g, kCbInter, Count(2), kTileBytes, "cb-inter");
-  declare_cb(g, kCbOut, Count(4), kTileBytes, "cb-out");
-  if (residual) declare_cb(g, kCbRes, Count(1), 32, "cb-res");
-  g.regions.push_back(
-      ir::RegionDecl{"row-slots", (2 * d + Count(3)) * Count(sbytes)});
-  g.barriers.push_back(ir::BarrierDecl{sh->barrier_id, Count(2 * ncores)});
-  // Continuous rotation: a new column strip continues after the previous
-  // one's tail. The reader runs at most depth-1 batches past the waited
-  // one plus the +1 halo row, and depth reserved-but-unpopped batches can
-  // still read their [-1, +1] windows.
-  g.rings.push_back(ir::RingDecl{"row-slots", 2 * d + Count(3), d, d, -1, +1,
-                                 Count(0), true, Count::sym("columns")});
-
-  KernelModel reader{"jacobi_reader", 0, Count(ncores), {}};
-  reader.ops.push_back(make_op(OpKind::kCbReserve, kCbScalar, Count(1)));
-  reader.ops.push_back(make_op(OpKind::kCbPush, kCbScalar, Count(1)));
-  reader.ops.push_back(flow_op(OpKind::kReadRegion, P,
-                               "one row batch per point, depth in flight"));
-  for (int cb = kCbIn0; cb <= kCbIn3; ++cb) {
-    reader.ops.push_back(make_op(OpKind::kCbReserve, cb, P));
-  }
-  reader.ops.push_back(make_op(OpKind::kRingWrite, 0, P));
-  for (int cb = kCbIn0; cb <= kCbIn3; ++cb) {
-    reader.ops.push_back(make_op(OpKind::kCbPush, cb, P));
-  }
-  reader.ops.push_back(make_op(OpKind::kBarrierArrive, sh->barrier_id, it));
-  g.kernels.push_back(std::move(reader));
-
-  KernelModel compute{"jacobi_compute", 2, Count(ncores), {}};
-  compute.ops.push_back(flow_op(OpKind::kComputeTile, P,
-                                "((xm+xp)+ym+yp)*0.25 per chunk"));
-  compute.ops.push_back(make_op(OpKind::kRingRead, 0, P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbIn0, P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbIn1, P));
-  compute.ops.push_back(make_op(OpKind::kCbPop, kCbIn1, P));
-  compute.ops.push_back(make_op(OpKind::kCbPop, kCbIn0, P));
-  for (int leg = 0; leg < 3; ++leg) {
-    compute.ops.push_back(make_op(OpKind::kCbReserve, kCbInter, P));
-    compute.ops.push_back(make_op(OpKind::kCbPush, kCbInter, P));
-    const int in_cb = leg == 0 ? kCbIn2 : leg == 1 ? kCbIn3 : kCbScalar;
-    compute.ops.push_back(make_op(OpKind::kCbWait, in_cb, P));
-    compute.ops.push_back(make_op(OpKind::kCbWait, kCbInter, P));
-    compute.ops.push_back(make_op(OpKind::kCbPop, kCbInter, P));
-    if (in_cb != kCbScalar) {
-      compute.ops.push_back(make_op(OpKind::kCbPop, in_cb, P));
-    }
-  }
-  compute.ops.push_back(make_op(OpKind::kCbReserve, kCbOut, P));
-  compute.ops.push_back(make_op(OpKind::kCbPush, kCbOut, P));
-  if (residual) {
-    compute.ops.push_back(make_op(OpKind::kCbReserve, kCbRes, Count(1)));
-    compute.ops.push_back(make_op(OpKind::kCbPush, kCbRes, Count(1)));
-  }
-  g.kernels.push_back(std::move(compute));
-
-  KernelModel writer{"jacobi_writer", 1, Count(ncores), {}};
-  writer.ops.push_back(make_op(OpKind::kCbWait, kCbOut, P));
-  writer.ops.push_back(flow_op(OpKind::kWriteRegion, P,
-                               "one interior chunk per point"));
-  writer.ops.push_back(make_op(OpKind::kCbPop, kCbOut, P));
-  writer.ops.push_back(make_op(OpKind::kBarrierArrive, sh->barrier_id, it));
-  if (residual) {
-    writer.ops.push_back(make_op(OpKind::kCbWait, kCbRes, Count(1)));
-    writer.ops.push_back(make_op(OpKind::kCbPop, kCbRes, Count(1)));
-  }
-  g.kernels.push_back(std::move(writer));
-
-  g.emit = [sh](ttmetal::Program& prog) { build_rowchunk_program(prog, sh); };
-  return g;
+/// Mirror of create_chain_cbs: declare the accumulator CBs in id order.
+void declare_chain_cbs(Graph& g, const ChainCbs& need) {
+  if (need.inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
+  if (need.tmp) declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
+  if (need.tmp2) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
 }
 
 // ---------------------------------------------------------------------------
-// Jacobi, kSramResident (jacobi_sram.cpp). Five semaphores choreograph the
-// halo exchange/restore between iterations; the iteration-(k-1) waits carry
-// iter_delta = -1 — the slack that makes the wait-for graph acyclic.
-// ---------------------------------------------------------------------------
-Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
-                        std::int64_t sram_bytes) {
-  const int ncores = static_cast<int>(sh->ranges.size());
-  const std::uint32_t W = sh->layout.width();
-  const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK_MSG(W % chunk == 0,
-                  "SRAM-slab domains must be <= 1024 wide or a multiple of 1024");
-  const StripGeom geo = strip_geom(sh->ranges, chunk);
-  const std::uint32_t row_stride = slab_row_stride(W);
-  const std::uint32_t slab_bytes = (geo.max_rows + 2) * row_stride;
-
-  Graph g;
-  g.name = "jacobi-sram";
-  g.ncores = Count(ncores);
-  g.sram_bytes = sram_bytes;
-  const Count it = Count::sym("iters");
-  const Count P = Count::sym("points");
-  g.bindings["iters"] = sh->iterations;
-  g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
-                         geo.nrows0 * (W / chunk);
-
-  declare_cb(g, kCbScalar, Count(1), kTileBytes, "cb-scalar");
-  declare_cb(g, kCbInter, Count(2), kTileBytes, "cb-inter");
-  declare_cb(g, kCbOut, Count(1), kTileBytes, "cb-out");  // alias vehicle
-  g.regions.push_back(ir::RegionDecl{"slab-a", Count(slab_bytes)});
-  g.regions.push_back(ir::RegionDecl{"slab-b", Count(slab_bytes)});
-  g.sems = {ir::SemDecl{kSemTopHalo, 0, "sem-top-halo"},
-            ir::SemDecl{kSemBottomHalo, 0, "sem-bottom-halo"},
-            ir::SemDecl{kSemComputeDm0, 0, "sem-compute-dm0"},
-            ir::SemDecl{kSemComputeDm1, 0, "sem-compute-dm1"},
-            ir::SemDecl{kSemRestored, 0, "sem-restored"}};
-  g.barriers.push_back(ir::BarrierDecl{kCbLoadBarrier, Count(3 * ncores)});
-
-  KernelModel dm0{"jacobi_sram_dm0", 0, Count(ncores), {}};
-  dm0.ops.push_back(flow_op(OpKind::kReadRegion, Count(2),
-                            "both parities' slabs, rows+2 rows each"));
-  dm0.ops.push_back(make_op(OpKind::kBarrierArrive, kCbLoadBarrier, Count(1)));
-  dm0.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm0, it - Count(1), 1,
-                            Guard::kAlways, Peer::kSelf, -1));
-  dm0.ops.push_back(flow_op(OpKind::kHaloExchange, it - Count(1),
-                            "top edge row -> upper neighbour"));
-  dm0.ops.push_back(make_op(OpKind::kSemPost, kSemBottomHalo, it - Count(1), 1,
-                            Guard::kHasUpper, Peer::kUpper));
-  g.kernels.push_back(std::move(dm0));
-
-  KernelModel compute{"jacobi_sram_compute", 2, Count(ncores), {}};
-  compute.ops.push_back(make_op(OpKind::kCbReserve, kCbScalar, Count(1)));
-  compute.ops.push_back(make_op(OpKind::kCbPush, kCbScalar, Count(1)));
-  compute.ops.push_back(
-      make_op(OpKind::kBarrierArrive, kCbLoadBarrier, Count(1)));
-  compute.ops.push_back(make_op(OpKind::kSemWait, kSemTopHalo, it - Count(1),
-                                1, Guard::kHasUpper, Peer::kSelf, -1));
-  compute.ops.push_back(make_op(OpKind::kSemWait, kSemBottomHalo,
-                                it - Count(1), 1, Guard::kHasLower,
-                                Peer::kSelf, -1));
-  compute.ops.push_back(make_op(OpKind::kSemWait, kSemRestored, it - Count(1),
-                                1, Guard::kAlways, Peer::kSelf, -1));
-  compute.ops.push_back(flow_op(OpKind::kComputeTile, P,
-                                "slab-aliased 5-point chain per chunk"));
-  // Per point: 4 reserve/push/pop legs through cb-inter, 3 of them waited
-  // (the first add aliases the freshly pushed page without waiting), the
-  // last leg also waits the scalar page.
-  compute.ops.push_back(make_op(OpKind::kCbReserve, kCbInter, Count(4) * P));
-  compute.ops.push_back(make_op(OpKind::kCbPush, kCbInter, Count(4) * P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbInter, Count(3) * P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbScalar, P));
-  compute.ops.push_back(make_op(OpKind::kCbPop, kCbInter, Count(4) * P));
-  compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm0, it));
-  compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm1, it));
-  g.kernels.push_back(std::move(compute));
-
-  KernelModel dm1{"jacobi_sram_dm1", 1, Count(ncores), {}};
-  dm1.ops.push_back(make_op(OpKind::kBarrierArrive, kCbLoadBarrier, Count(1)));
-  dm1.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm1, it - Count(1),
-                            1, Guard::kAlways, Peer::kSelf, -1));
-  dm1.ops.push_back(make_op(OpKind::kSemPost, kSemRestored, it - Count(1)));
-  dm1.ops.push_back(flow_op(OpKind::kHaloExchange, it - Count(1),
-                            "bottom edge row -> lower neighbour"));
-  dm1.ops.push_back(make_op(OpKind::kSemPost, kSemTopHalo, it - Count(1), 1,
-                            Guard::kHasLower, Peer::kLower));
-  dm1.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm1, Count(1)));
-  dm1.ops.push_back(flow_op(OpKind::kWriteRegion, Count(1),
-                            "final slab -> DRAM writeback"));
-  g.kernels.push_back(std::move(dm1));
-
-  g.emit = [sh](ttmetal::Program& prog) {
-    build_sram_resident_program(prog, sh);
-  };
-  return g;
-}
-
-// ---------------------------------------------------------------------------
-// Temporal tiling (jacobi_temporal.cpp), classic and general. Loaded /
-// Computed / Free(initial 1) circulate per block; dm0+dm1 rendezvous on the
-// epoch barrier.
+// Temporal tiling (stencil_temporal.cpp). Loaded / Computed / Free
+// (initial 1) circulate per block; dm0+dm1 rendezvous on the epoch barrier.
 // ---------------------------------------------------------------------------
 struct TemporalSizing {
   std::uint32_t row_stride = 0, slab_bytes = 0;
@@ -389,7 +200,6 @@ TemporalSizing temporal_sizing(std::uint32_t width, std::int64_t height,
 /// Shared temporal skeleton: CBs/regions/chain ops come from the caller,
 /// the Loaded/Computed/Free circulation and the epoch barrier are common.
 void temporal_protocol(Graph& g, int ncores, int barrier_id,
-                       std::vector<Op> compute_prologue,
                        std::vector<Op> chain_ops) {
   const Count E = Count::sym("epochs");
   const Count EB = Count::sym("epochs") * Count::sym("blocks");
@@ -407,7 +217,6 @@ void temporal_protocol(Graph& g, int ncores, int barrier_id,
   g.kernels.push_back(std::move(dm0));
 
   KernelModel compute{"temporal_compute", 2, Count(ncores), {}};
-  compute.ops = std::move(compute_prologue);
   compute.ops.push_back(make_op(OpKind::kSemWait, kSemLoaded, EB));
   compute.ops.push_back(flow_op(OpKind::kComputeTile, Count::sym("points"),
                                 "depth chained sub-steps per block"));
@@ -424,61 +233,10 @@ void temporal_protocol(Graph& g, int ncores, int barrier_id,
   g.kernels.push_back(std::move(dm1));
 }
 
-Graph jacobi_temporal_graph(const std::shared_ptr<KernelShared>& sh,
-                            std::int64_t sram_bytes) {
-  TTSIM_CHECK_MSG(sh->temporal_depth >= 1 && sh->temporal_depth <= 8,
-                  "temporal_depth must be in [1, 8]");
-  const int ncores = static_cast<int>(sh->ranges.size());
-  const std::uint32_t W = sh->layout.width();
-  const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK_MSG(W % chunk == 0,
-                  "temporal domains must be <= 1024 wide or a multiple of 1024");
-  const StripGeom geo = strip_geom(sh->ranges, chunk);
-  // Classic Jacobi: one written+streamed field (2 slabs), v = reach = 1.
-  const TemporalSizing siz =
-      temporal_sizing(W, sh->layout.height(), sh->temporal_depth, 1, 1, 2);
-  const int depth = sh->temporal_depth;
-  const std::int64_t E = (sh->iterations + depth - 1) / depth;
-  const std::int64_t blocks =
-      (geo.nrows0 + siz.block_rows - 1) / siz.block_rows;
-
-  Graph g;
-  g.name = "jacobi-temporal";
-  g.ncores = Count(ncores);
-  g.sram_bytes = sram_bytes;
-  g.bindings["iters"] = sh->iterations;
-  g.bindings["epochs"] = E;
-  g.bindings["blocks"] = blocks;
-  // Lower bound: the trapezoid recomputes skirt rows on top of these.
-  g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
-                         geo.nrows0 * (W / chunk);
-
-  declare_cb(g, kCbScalar, Count(1), kTileBytes, "cb-scalar");
-  declare_cb(g, kCbInter, Count(2), kTileBytes, "cb-inter");
-  declare_cb(g, kCbOut, Count(1), kTileBytes, "cb-out");  // alias vehicle
-  g.regions.push_back(ir::RegionDecl{"slab-a", Count(siz.slab_bytes)});
-  g.regions.push_back(ir::RegionDecl{"slab-b", Count(siz.slab_bytes)});
-
-  const Count P = Count::sym("points");
-  std::vector<Op> prologue = {make_op(OpKind::kCbReserve, kCbScalar, Count(1)),
-                              make_op(OpKind::kCbPush, kCbScalar, Count(1))};
-  std::vector<Op> chain = {
-      make_op(OpKind::kCbReserve, kCbInter, Count(4) * P),
-      make_op(OpKind::kCbPush, kCbInter, Count(4) * P),
-      make_op(OpKind::kCbWait, kCbInter, Count(3) * P),
-      make_op(OpKind::kCbWait, kCbScalar, P),
-      make_op(OpKind::kCbPop, kCbInter, Count(4) * P)};
-  temporal_protocol(g, ncores, sh->barrier_id, std::move(prologue),
-                    std::move(chain));
-
-  g.emit = [sh](ttmetal::Program& prog) { build_temporal_program(prog, sh); };
-  return g;
-}
-
 // ---------------------------------------------------------------------------
 // General radius-1 stencils (stencil_device.cpp / stencil_sram.cpp /
-// jacobi_temporal.cpp's general path). Depth stays concrete here — the
-// slot count's ceil(depth/nrows_min) term is not polynomial.
+// stencil_temporal.cpp). Depth stays concrete here — the slot count's
+// ceil(depth/nrows_min) term is not polynomial.
 // ---------------------------------------------------------------------------
 Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
                              std::int64_t sram_bytes) {
@@ -491,14 +249,14 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
   const std::uint32_t sbytes = slot_bytes_of(geo.max_chunk);
 
   std::vector<char> streamed(static_cast<std::size_t>(nfields), 0);
-  bool needs_inter = false, needs_post = false;
+  ChainCbs chain;
   for (const LoweredPass& pass : sh->passes) {
     for (const PassField& pf : pass.reads) {
       streamed[static_cast<std::size_t>(pf.field)] = 1;
     }
-    if (pass.terms.size() > 1) needs_inter = true;
-    if (pass.post != PostOp::kNone) needs_post = true;
+    chain |= ChainCbs(pass);
   }
+  const bool residual = sh->residual_addr != 0;
 
   Graph g;
   g.name = "stencil-rowchunk";
@@ -518,12 +276,9 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
     }
   }
   declare_cb(g, kCbWgt, Count(1), kTileBytes, "cb-wgt");  // alias vehicle
-  if (needs_inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
-  if (needs_inter || needs_post) {
-    declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
-  }
-  if (needs_post) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
+  declare_chain_cbs(g, chain);
   declare_cb(g, kCbGOut, Count(4), kTileBytes, "cb-gout");
+  if (residual) declare_cb(g, kCbGRes, Count(1), 32, "cb-gres");
   g.regions.push_back(ir::RegionDecl{
       "row-slots",
       Count(static_cast<std::int64_t>(nfields) * nslots * sbytes)});
@@ -584,6 +339,13 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
     writer.ops.push_back(make_op(OpKind::kCbPop, kCbGOut, P));
     writer.ops.push_back(make_op(OpKind::kBarrierArrive, sh->barrier_id, it));
   }
+  if (residual) {
+    // One per-core residual page after the last sweep.
+    compute.ops.push_back(make_op(OpKind::kCbReserve, kCbGRes, Count(1)));
+    compute.ops.push_back(make_op(OpKind::kCbPush, kCbGRes, Count(1)));
+    writer.ops.push_back(make_op(OpKind::kCbWait, kCbGRes, Count(1)));
+    writer.ops.push_back(make_op(OpKind::kCbPop, kCbGRes, Count(1)));
+  }
   g.kernels.push_back(std::move(reader));
   g.kernels.push_back(std::move(compute));
   g.kernels.push_back(std::move(writer));
@@ -607,8 +369,6 @@ Graph general_sram_graph(const std::shared_ptr<GeneralShared>& sh,
   const StripGeom geo = strip_geom(sh->ranges, chunk);
   const std::uint32_t row_stride = slab_row_stride(W);
   const std::uint32_t slab_bytes = (geo.max_rows + 2) * row_stride;
-  const bool needs_inter = pass.terms.size() > 1;
-  const bool needs_post = pass.post != PostOp::kNone;
 
   Graph g;
   g.name = "stencil-sram";
@@ -622,11 +382,7 @@ Graph general_sram_graph(const std::shared_ptr<GeneralShared>& sh,
 
   declare_cb(g, kCbFieldBase, Count(1), kTileBytes, "cb-field0");  // alias
   declare_cb(g, kCbWgt, Count(1), kTileBytes, "cb-wgt");           // alias
-  if (needs_inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
-  if (needs_inter || needs_post) {
-    declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
-  }
-  if (needs_post) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
+  declare_chain_cbs(g, ChainCbs(pass));
   declare_cb(g, kCbGOut, Count(1), kTileBytes, "cb-gout");  // alias vehicle
   g.regions.push_back(ir::RegionDecl{"slab-a", Count(slab_bytes)});
   g.regions.push_back(ir::RegionDecl{"slab-b", Count(slab_bytes)});
@@ -729,8 +485,6 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
   const std::int64_t E = (sh->iterations + depth - 1) / depth;
   const std::int64_t blocks =
       (geo.nrows0 + siz.block_rows - 1) / siz.block_rows;
-  const bool needs_inter = pass.terms.size() > 1;
-  const bool needs_post = pass.post != PostOp::kNone;
 
   Graph g;
   g.name = "stencil-temporal";
@@ -749,11 +503,7 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
     }
   }
   declare_cb(g, kCbWgt, Count(1), kTileBytes, "cb-wgt");  // alias vehicle
-  if (needs_inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
-  if (needs_inter || needs_post) {
-    declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
-  }
-  if (needs_post) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
+  declare_chain_cbs(g, ChainCbs(pass));
   declare_cb(g, kCbGOut, Count(1), kTileBytes, "cb-gout");  // alias vehicle
   g.regions.push_back(ir::RegionDecl{
       "weight-table",
@@ -771,7 +521,7 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
   const Count P = Count::sym("points");
   std::vector<Op> chain;
   append_chain_ops(chain, pass, P);
-  temporal_protocol(g, ncores, sh->barrier_id, {}, std::move(chain));
+  temporal_protocol(g, ncores, sh->barrier_id, std::move(chain));
 
   g.emit = [sh](ttmetal::Program& prog) {
     build_general_temporal_group(prog, sh);
@@ -780,28 +530,6 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
 }
 
 }  // namespace
-
-ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
-                            std::int64_t sram_bytes) {
-  Graph g;
-  switch (sh->strategy) {
-    case DeviceStrategy::kRowChunk:
-      g = jacobi_rowchunk_graph(sh, sram_bytes);
-      break;
-    case DeviceStrategy::kSramResident:
-      g = jacobi_sram_graph(sh, sram_bytes);
-      break;
-    case DeviceStrategy::kTemporal:
-      g = jacobi_temporal_graph(sh, sram_bytes);
-      break;
-    default:
-      TTSIM_THROW_API("the dataflow IR models the row-chunk, SRAM-resident "
-                      "and temporal lowerings (got "
-                      << to_string(sh->strategy) << ")");
-  }
-  require_sram_fit(g);
-  return g;
-}
 
 ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
                              DeviceStrategy strategy,
@@ -850,35 +578,16 @@ void require_ir_strategy(DeviceStrategy s) {
 
 ir::Graph jacobi_ir_graph(const JacobiProblem& p, const DeviceRunConfig& cfg,
                           std::int64_t sram_bytes) {
-  require_ir_strategy(cfg.strategy);
-  const PaddedLayout layout(p.width, p.height);
-  auto sh = std::make_shared<detail::KernelShared>(layout);
-  sh->d1 = kDummyBase;
-  sh->d2 = kDummyBase + kDummyStep;
-  sh->iterations = p.iterations;
-  sh->strategy = cfg.strategy;
-  sh->toggles = cfg.toggles;
-  sh->chunk_elems = cfg.chunk_elems;
-  sh->read_ahead = cfg.read_ahead;
-  sh->temporal_depth = cfg.temporal_depth;
-  sh->ranges = detail::decompose(p, cfg.cores_x, cfg.cores_y, 16);
-  return detail::make_jacobi_graph(std::move(sh), sram_bytes);
+  return general_ir_graph(jacobi_program(p), cfg, sram_bytes);
 }
 
 ir::Graph general_ir_graph(const GeneralStencilProblem& p,
                            const DeviceRunConfig& cfg,
                            std::int64_t sram_bytes) {
-  p.validate();
   require_ir_strategy(cfg.strategy);
-  const PaddedLayout layout(p.width, p.height);
-  auto sh = std::make_shared<detail::GeneralShared>(layout);
-  detail::lower_program(p, *sh);
-  sh->chunk_elems = cfg.chunk_elems;
-  sh->read_ahead = cfg.read_ahead;
-  sh->temporal_depth = cfg.temporal_depth;
-  sh->ranges = detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
-  const int nfields = sh->nfields() > 0 ? sh->nfields()
-                                        : static_cast<int>(p.fields.size());
+  auto sh = detail::make_general_shared(
+      p, cfg, detail::CoreSelection{cfg.cores_x, cfg.cores_y, {}});
+  const int nfields = static_cast<int>(p.fields.size());
   sh->d1.assign(static_cast<std::size_t>(nfields), 0);
   sh->d2.assign(static_cast<std::size_t>(nfields), 0);
   for (int f = 0; f < nfields; ++f) {

@@ -7,30 +7,22 @@
 /// calling the builder directly.
 ///
 /// Paths that stay hand-wired (no IR graph): the Section-IV tiled
-/// programs, and the batched builders — several independent solves share
+/// programs, and the batched builder — several independent solves share
 /// one Program there, which the single-group graphs don't model.
 
 #include <cstdint>
 #include <memory>
 
-#include "jacobi_internal.hpp"
 #include "stencil_internal.hpp"
 #include "ttsim/ir/ir.hpp"
 
 namespace ttsim::core::detail {
 
-/// Protocol graph of the program build_rowchunk_program /
-/// build_sram_resident_program / build_temporal_program (keyed on
-/// sh->strategy) would emit for `sh`. The row-chunk graph keeps the
-/// read-ahead depth symbolic with range [2, max(8, depth)], so the checker
-/// proves the slot-ring and credit arithmetic for every depth, not just
-/// the one being launched.
-ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
-                            std::int64_t sram_bytes);
-
-/// Same for the general radius-1 frontend: the row-chunk group, the
-/// SRAM-resident program or the temporal group, keyed on `strategy`
-/// (GeneralShared does not carry one).
+/// Protocol graph of the general radius-1 program `strategy`'s builder
+/// (build_general_rowchunk_group, build_general_sram_program or
+/// build_general_temporal_group) would emit for `sh` (GeneralShared does
+/// not carry a strategy). Throws ApiError when the launch would not fit
+/// core SRAM.
 ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
                              DeviceStrategy strategy,
                              std::int64_t sram_bytes);

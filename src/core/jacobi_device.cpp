@@ -1,154 +1,52 @@
+/// \file jacobi_device.cpp
+/// The Jacobi drivers. The Section IV tiled designs launch their own
+/// kernels (jacobi_tiled.cpp); every other strategy solves
+/// jacobi_program(p) through the general stencil driver and checks the
+/// answer against the Jacobi reference itself.
+
 #include "ttsim/core/jacobi_device.hpp"
 
 #include <cstring>
 #include <limits>
 
-#include "ir_frontend.hpp"
 #include "jacobi_internal.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
-#include "ttsim/ir/lower.hpp"
 #include "ttsim/ttmetal/counters.hpp"
 
 namespace ttsim::core {
 
-namespace detail {
-
-std::vector<CoreRange> decompose(const JacobiProblem& p, int cores_x, int cores_y,
-                                 std::uint32_t col_align) {
-  if (cores_x < 1 || cores_y < 1) TTSIM_THROW_API("need at least a 1x1 core grid");
-  if (p.width % static_cast<std::uint32_t>(cores_x) != 0) {
-    TTSIM_THROW_API("domain width " << p.width << " does not divide across "
-                                    << cores_x << " cores in X");
+bool detail::matches_reference(const JacobiProblem& p,
+                               const std::vector<float>& solution) {
+  const auto ref = cpu::jacobi_reference_bf16(p);
+  if (ref.size() != solution.size()) return false;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (static_cast<float>(ref[i]) != solution[i]) return false;
   }
-  const std::uint32_t strip = p.width / static_cast<std::uint32_t>(cores_x);
-  if (strip % col_align != 0) {
-    TTSIM_THROW_API("per-core strip width " << strip << " must be a multiple of "
-                                            << col_align);
-  }
-  if (static_cast<std::uint32_t>(cores_y) > p.height) {
-    TTSIM_THROW_API("more Y cores than rows");
-  }
-  std::vector<CoreRange> ranges;
-  const std::uint32_t base = p.height / static_cast<std::uint32_t>(cores_y);
-  const std::uint32_t extra = p.height % static_cast<std::uint32_t>(cores_y);
-  std::uint32_t row = 0;
-  for (int cy = 0; cy < cores_y; ++cy) {
-    const std::uint32_t rows =
-        base + (static_cast<std::uint32_t>(cy) < extra ? 1 : 0);
-    for (int cx = 0; cx < cores_x; ++cx) {
-      ranges.push_back(CoreRange{row, row + rows,
-                                 static_cast<std::uint32_t>(cx) * strip,
-                                 (static_cast<std::uint32_t>(cx) + 1) * strip});
-    }
-    row += rows;
-  }
-  return ranges;
+  return true;
 }
-
-CoreSelection select_cores(ttmetal::Device& device, const JacobiProblem& p,
-                           const DeviceRunConfig& cfg) {
-  CoreSelection sel;
-  sel.cores_x = cfg.cores_x;
-  sel.cores_y = cfg.cores_y;
-  const auto usable = device.usable_workers();
-  while (sel.ncores() > static_cast<int>(usable.size())) {
-    if (sel.cores_y > 1) {
-      --sel.cores_y;
-    } else if (sel.cores_x > 1) {
-      do {
-        --sel.cores_x;
-      } while (sel.cores_x > 1 &&
-               p.width % static_cast<std::uint32_t>(sel.cores_x) != 0);
-    } else {
-      TTSIM_THROW_API("no usable workers remain ("
-                      << device.num_workers() - static_cast<int>(usable.size())
-                      << " failed cores)");
-    }
-  }
-  sel.core_ids.assign(usable.begin(), usable.begin() + sel.ncores());
-  return sel;
-}
-
-ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
-                                         const PaddedLayout& layout) {
-  ttmetal::BufferConfig bc;
-  bc.size = layout.bytes();
-  bc.layout = cfg.buffer_layout;
-  if (cfg.buffer_layout == ttmetal::BufferLayout::kInterleaved) {
-    bc.page_size = cfg.interleave_page;
-  } else if (cfg.buffer_layout == ttmetal::BufferLayout::kStriped) {
-    // Sixteen row slabs per grid: every Y sub-range of cores still spreads
-    // its traffic over all eight banks.
-    bc.page_size = align_up(layout.bytes() / 16 + 1, 32);
-    bc.balanced_stripes = cfg.balanced_stripes;
-  }
-  return bc;
-}
-
-}  // namespace detail
 
 namespace {
 
-void validate_config(const ttmetal::Device& device, const JacobiProblem& p,
-                     const DeviceRunConfig& cfg) {
-  const int ncores = cfg.cores_x * cfg.cores_y;
-  if (ncores > device.num_workers()) {
-    TTSIM_THROW_API("decomposition needs " << ncores << " cores but the e150 has "
-                                           << device.num_workers() << " workers");
-  }
+void validate_tiled(const ttmetal::Device& device, const JacobiProblem& p,
+                    const DeviceRunConfig& cfg) {
+  detail::check_core_count(cfg, device.num_workers());
   if (p.iterations < 1) TTSIM_THROW_API("need at least one iteration");
-  if (cfg.read_ahead < 2 || cfg.read_ahead > 64) {
-    TTSIM_THROW_API("read_ahead must be in [2, 64] (got " << cfg.read_ahead
-                    << "); 2 is the paper's two-batch scheme");
+  if (p.width % detail::kTile != 0 || p.height % detail::kTile != 0) {
+    TTSIM_THROW_API("tiled strategies need 32x32-divisible domains");
   }
-  if (cfg.strategy == DeviceStrategy::kSramResident ||
-      cfg.strategy == DeviceStrategy::kTemporal) {
-    if (cfg.cores_x != 1) {
-      TTSIM_THROW_API(to_string(cfg.strategy)
-                      << " decomposes in Y only (cores_x == 1)");
-    }
-    if (p.width > 1024 && p.width % 1024 != 0) {
-      TTSIM_THROW_API("SRAM-slab domains must be <= 1024 wide or a multiple of "
-                      "1024 (FPU tile packs write straight into the slab)");
-    }
-    if (!cfg.toggles.all_enabled()) {
-      TTSIM_THROW_API("component toggles are a Table II instrument of the tiled "
-                      "(Section IV) designs");
-    }
-    if (cfg.strategy == DeviceStrategy::kTemporal &&
-        (cfg.temporal_depth < 1 || cfg.temporal_depth > 8)) {
-      TTSIM_THROW_API("temporal_depth must be in [1, 8] (got "
-                      << cfg.temporal_depth << ")");
-    }
-    return;
-  }
-  const bool tiled = cfg.strategy != DeviceStrategy::kRowChunk;
-  if (tiled) {
-    if (p.width % detail::kTile != 0 || p.height % detail::kTile != 0) {
-      TTSIM_THROW_API("tiled strategies need 32x32-divisible domains");
-    }
-    if (p.height / static_cast<std::uint32_t>(cfg.cores_y) % detail::kTile != 0 ||
-        p.height % static_cast<std::uint32_t>(cfg.cores_y) != 0) {
-      TTSIM_THROW_API("tiled strategies need 32-divisible rows per core");
-    }
-  }
-  if (!cfg.toggles.all_enabled() && !tiled) {
-    TTSIM_THROW_API("component toggles are a Table II instrument of the tiled "
-                    "(Section IV) designs");
+  if (p.height / static_cast<std::uint32_t>(cfg.cores_y) % detail::kTile != 0 ||
+      p.height % static_cast<std::uint32_t>(cfg.cores_y) != 0) {
+    TTSIM_THROW_API("tiled strategies need 32-divisible rows per core");
   }
 }
 
-}  // namespace
-
-DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProblem& p,
-                                     const DeviceRunConfig& cfg) {
-  validate_config(device, p, cfg);
-  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
+/// Section IV run: the tiled kernels on their own buffer pair.
+DeviceRunResult run_tiled(ttmetal::Device& device, const JacobiProblem& p,
+                          const DeviceRunConfig& cfg) {
+  validate_tiled(device, p, cfg);
+  const detail::CoreSelection sel = detail::select_cores(device, p.width, cfg);
   const ttmetal::RetryScope retries(device);
   const PaddedLayout layout(p.width, p.height);
-  const bool tiled = cfg.strategy != DeviceStrategy::kRowChunk &&
-                     cfg.strategy != DeviceStrategy::kSramResident &&
-                     cfg.strategy != DeviceStrategy::kTemporal;
 
   const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
   auto d1 = device.create_buffer(bc);
@@ -165,31 +63,11 @@ DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProble
   shared->iterations = p.iterations;
   shared->strategy = cfg.strategy;
   shared->toggles = cfg.toggles;
-  shared->chunk_elems = cfg.chunk_elems;
-  shared->read_ahead = cfg.read_ahead;
-  shared->temporal_depth = cfg.temporal_depth;
-  shared->ranges = detail::decompose(p, sel.cores_x, sel.cores_y,
-                                     tiled ? detail::kTile : 16);
+  shared->ranges = detail::decompose(p, sel.cores_x, sel.cores_y, detail::kTile);
   shared->core_ids = sel.core_ids;
 
   ttmetal::Program prog;
-  if (tiled) {
-    // The Section-IV programs predate the flow-controlled protocol the IR
-    // models: always hand-wired.
-    detail::build_tiled_program(prog, shared);
-  } else if (cfg.lowering == LoweringPath::kIr) {
-    // Prove the protocol race/deadlock-free, then lower; the graph's emit
-    // closure calls the same builder the kHandWired branch does.
-    ir::lower(detail::make_jacobi_graph(
-                  shared, static_cast<std::int64_t>(device.spec().sram_bytes)),
-              prog);
-  } else if (cfg.strategy == DeviceStrategy::kRowChunk) {
-    detail::build_rowchunk_program(prog, shared);
-  } else if (cfg.strategy == DeviceStrategy::kTemporal) {
-    detail::build_temporal_program(prog, shared);
-  } else {
-    detail::build_sram_resident_program(prog, shared);
-  }
+  detail::build_tiled_program(prog, shared);
   device.run_program(prog);
 
   // After `iterations` sweeps the freshest grid is d2 for odd counts.
@@ -203,14 +81,28 @@ DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProble
   result.cores_used = sel.ncores();
   result.transfer_retries = static_cast<int>(retries.count());
   result.solution = layout.extract_interior(out);
-
   if (cfg.verify && cfg.toggles.all_enabled()) {
-    const auto ref = cpu::jacobi_reference_bf16(p);
-    result.verified_ok = ref.size() == result.solution.size();
-    for (std::size_t i = 0; result.verified_ok && i < ref.size(); ++i) {
-      if (static_cast<float>(ref[i]) != result.solution[i]) result.verified_ok = false;
-    }
+    result.verified_ok = detail::matches_reference(p, result.solution);
   }
+  return result;
+}
+
+}  // namespace
+
+DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProblem& p,
+                                     const DeviceRunConfig& cfg) {
+  if (detail::is_tiled(cfg.strategy)) return run_tiled(device, p, cfg);
+  const ttmetal::RetryScope retries(device);
+  DeviceRunConfig gcfg = cfg;
+  gcfg.verify = false;  // checked against the Jacobi reference below
+  auto r = run_general_stencil_on_device(device, jacobi_program(p), gcfg);
+  DeviceRunResult result;
+  result.solution = std::move(r.solution);
+  result.kernel_time = r.kernel_time;
+  result.total_time = r.total_time;
+  result.cores_used = r.cores_used;
+  result.transfer_retries = static_cast<int>(retries.count());
+  if (cfg.verify) result.verified_ok = detail::matches_reference(p, result.solution);
   return result;
 }
 
@@ -234,8 +126,10 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
     TTSIM_THROW_API("device-side residuals need full 1024-element chunks "
                     "(strip width " << strip << ")");
   }
-  validate_config(device, p, cfg);
-  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
+  GeneralStencilProblem g = jacobi_program(p);
+  detail::validate_run_config(g, cfg);
+  detail::check_core_count(cfg, device.num_workers());
+  const detail::CoreSelection sel = detail::select_cores(device, p.width, cfg);
 
   const PaddedLayout layout(p.width, p.height);
   const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
@@ -256,32 +150,13 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
   bool swapped = false;
   int remaining = p.iterations;
   while (remaining > 0) {
-    const int chunk = std::min(options.check_every, remaining);
-    auto shared = std::make_shared<detail::KernelShared>(layout);
-    shared->d1 = swapped ? d2->address() : d1->address();
-    shared->d2 = swapped ? d1->address() : d2->address();
-    shared->iterations = chunk;
-    shared->strategy = cfg.strategy;
-    shared->chunk_elems = cfg.chunk_elems;
-    shared->read_ahead = cfg.read_ahead;
-    shared->residual_addr = residuals->address();
-    shared->ranges = detail::decompose(p, sel.cores_x, sel.cores_y, 16);
-    shared->core_ids = sel.core_ids;
-
-    ttmetal::Program prog;
-    if (cfg.lowering == LoweringPath::kIr) {
-      ir::lower(detail::make_jacobi_graph(
-                    shared,
-                    static_cast<std::int64_t>(device.spec().sram_bytes)),
-                prog);
-    } else {
-      detail::build_rowchunk_program(prog, shared);
-    }
-    device.run_program(prog);
-    result.kernel_time += device.last_kernel_duration();
-    result.iterations_run += chunk;
-    remaining -= chunk;
-    if (chunk % 2 == 1) swapped = !swapped;
+    g.iterations = std::min(options.check_every, remaining);
+    result.kernel_time += detail::launch_single_field(
+        device, g, cfg, sel, swapped ? d2->address() : d1->address(),
+        swapped ? d1->address() : d2->address(), residuals->address());
+    result.iterations_run += g.iterations;
+    remaining -= g.iterations;
+    if (detail::grid_passes(cfg, g.iterations) % 2 == 1) swapped = !swapped;
 
     std::vector<std::byte> raw(static_cast<std::size_t>(ncores) * 32);
     device.read_buffer(*residuals, raw);

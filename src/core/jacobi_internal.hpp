@@ -1,96 +1,56 @@
 #pragma once
 /// \file jacobi_internal.hpp
-/// Shared internals of the device Jacobi solvers: the per-core domain
-/// decomposition and the program-builder entry points used by the driver.
+/// Internals of the Jacobi drivers: the helpers the wrappers over the
+/// general frontend share, and the Section IV tiled Jacobi programs
+/// (kInitial / kWriteOptimised / kDoubleBuffered), the one family of device
+/// Jacobi kernels that does not lower through the general frontend: they
+/// are the paper's Table I/II artefact, memcpy pipeline and component
+/// toggles included.
 
 #include <memory>
 #include <vector>
 
-#include "ttsim/core/jacobi_device.hpp"
-#include "ttsim/ttmetal/program.hpp"
+#include "stencil_internal.hpp"
 
 namespace ttsim::core::detail {
 
-/// Circular-buffer ids shared by all strategies (tt-metal convention:
-/// inputs 0..7, intermediates 8..15, outputs 16..23).
+/// Circular-buffer ids of the tiled programs (tt-metal convention: inputs
+/// 0..7, intermediates 8..15, outputs 16..23).
 inline constexpr int kCbIn0 = 0;   // x-1 tile
 inline constexpr int kCbIn1 = 1;   // x+1 tile
 inline constexpr int kCbIn2 = 2;   // y-1 tile
 inline constexpr int kCbIn3 = 3;   // y+1 tile
 inline constexpr int kCbScalar = 4;
 inline constexpr int kCbInter = 5;
-inline constexpr int kCbRes = 7;
 inline constexpr int kCbOut = 16;
-inline constexpr int kIterationBarrier = 0;
 
-inline constexpr std::uint32_t kTile = 32;          // 32x32 BF16 batches
-inline constexpr std::uint32_t kTileBytes = 2048;   // 1024 elems
+inline constexpr std::uint32_t kTile = 32;  // 32x32 BF16 batches
 
-/// One core's share of the interior: rows [row_lo, row_hi), cols
-/// [col_lo, col_hi).
-struct CoreRange {
-  std::uint32_t row_lo, row_hi, col_lo, col_hi;
-};
+/// The Section IV strategies, which run the tiled kernels below; every
+/// other strategy solves jacobi_program(p) through the general driver.
+inline bool is_tiled(DeviceStrategy s) {
+  return s == DeviceStrategy::kInitial || s == DeviceStrategy::kWriteOptimised ||
+         s == DeviceStrategy::kDoubleBuffered;
+}
 
-/// Balanced 2-D decomposition. Columns split evenly (width must divide by
-/// cores_x into multiples of `col_align`); rows split as evenly as possible.
-std::vector<CoreRange> decompose(const JacobiProblem& p, int cores_x, int cores_y,
-                                 std::uint32_t col_align);
+/// Whether `solution` equals cpu::jacobi_reference_bf16(p) bit for bit.
+bool matches_reference(const JacobiProblem& p, const std::vector<float>& solution);
 
-/// Resolved launch grid after graceful degradation: when the fault plan has
-/// killed workers, the requested decomposition shrinks onto the survivors
-/// (Y first — row splits carry no alignment constraints — then X, keeping
-/// the width divisible) and logical positions map onto surviving worker ids.
-struct CoreSelection {
-  int cores_x = 1;
-  int cores_y = 1;
-  std::vector<int> core_ids;
-  int ncores() const { return cores_x * cores_y; }
-};
-
-CoreSelection select_cores(ttmetal::Device& device, const JacobiProblem& p,
-                           const DeviceRunConfig& cfg);
-
-/// Grid BufferConfig for the run's buffer-layout choice (shared by the
-/// plain, adaptive and resilient drivers).
-ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
-                                         const PaddedLayout& layout);
-
-/// Everything the kernels need, shared by reference across the lambdas.
+/// Everything the tiled kernels need, shared by reference across the
+/// lambdas.
 struct KernelShared {
   std::uint64_t d1 = 0;  ///< device address of grid buffer 1
   std::uint64_t d2 = 0;  ///< device address of grid buffer 2
   PaddedLayout layout;
   int iterations = 0;
-  DeviceStrategy strategy = DeviceStrategy::kRowChunk;
+  DeviceStrategy strategy = DeviceStrategy::kInitial;
   ComponentToggles toggles;
-  std::uint32_t chunk_elems = 1024;
-  /// Row-chunk reader's in-flight batch depth (DeviceRunConfig::read_ahead);
-  /// 2 reproduces the paper's two-batch scheme bit-exactly.
-  int read_ahead = 2;
-  /// kTemporal: iterations chained through SRAM per DRAM pass (1..8).
-  int temporal_depth = 1;
-  /// When non-zero: on the final iteration the compute kernel tracks the
-  /// per-core max |unew - u| on the FPU and the writing mover stores it (one
-  /// BF16 value per core, 32-byte slots) at this DRAM address. Requires
-  /// full 1024-element chunks so no out-of-interior lanes pollute the
-  /// reduction.
-  std::uint64_t residual_addr = 0;
   std::vector<CoreRange> ranges;
   /// Physical worker ids: logical position i (= index into `ranges`) runs on
-  /// worker core_ids[i]. Empty means the identity mapping. Graceful
-  /// degradation routes around failed cores by listing survivors here —
-  /// kernels keep addressing neighbours by *position* and the builders
-  /// translate to physical ids.
+  /// worker core_ids[i]. Empty means the identity mapping.
   std::vector<int> core_ids;
-  /// Device-wide barrier id the built kernels rendezvous on between
-  /// iterations. The default reproduces every single-group program
-  /// bit-exactly; batched launches (several independent solves in one
-  /// program on disjoint core groups — see jacobi_batch.hpp) give each
-  /// group its own id so groups never synchronise with each other.
-  int barrier_id = kIterationBarrier;
 
-  KernelShared(const PaddedLayout& l) : layout(l) {}
+  explicit KernelShared(const PaddedLayout& l) : layout(l) {}
 
   /// Resolved physical worker list (identity fallback).
   std::vector<int> workers() const {
@@ -103,24 +63,5 @@ struct KernelShared {
 
 /// Section IV program (kInitial / kWriteOptimised / kDoubleBuffered).
 void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
-
-/// Section VI program (kRowChunk).
-void build_rowchunk_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
-
-/// Future-work program (kSramResident): domain resident in core SRAM with
-/// direct neighbour-to-neighbour halo exchange.
-void build_sram_resident_program(ttmetal::Program& prog,
-                                 std::shared_ptr<KernelShared> sh);
-
-/// Temporal-tiling program (kTemporal): each core chains
-/// sh->temporal_depth Jacobi iterations per DRAM pass, computing a
-/// trapezoid of redundant skirt rows in L1 instead of exchanging halos
-/// between sub-iterations. Bit-exact with temporal_depth sequential
-/// row-chunk sweeps.
-void build_temporal_program(ttmetal::Program& prog,
-                            std::shared_ptr<KernelShared> sh);
-
-/// Fill a reserved CB page with 1024 copies of `value` (the cb_scalar trick).
-void fill_scalar_page(ttmetal::KernelCtxBase& ctx, int cb_id, float value);
 
 }  // namespace ttsim::core::detail

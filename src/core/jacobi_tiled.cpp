@@ -48,14 +48,15 @@ struct BatchGrid {
   }
 };
 
-}  // namespace
-
+/// Fill a reserved CB page with 1024 copies of `value` (the cb_scalar trick).
 void fill_scalar_page(ttmetal::KernelCtxBase& ctx, int cb_id, float value) {
   ctx.cb_reserve_back(cb_id, 1);
   auto* page = reinterpret_cast<bfloat16_t*>(ctx.l1_ptr(ctx.get_write_ptr(cb_id)));
   for (std::uint32_t i = 0; i < 1024; ++i) page[i] = bfloat16_t{value};
   ctx.cb_push_back(cb_id, 1);
 }
+
+}  // namespace
 
 void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh) {
   const int ncores = static_cast<int>(sh->ranges.size());
@@ -73,7 +74,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
   const auto buf1 = prog.create_l1_buffer(cores, kBlockBufBytes);
   const std::uint32_t b0 = prog.l1_buffer_address(buf0);
   const std::uint32_t b1 = prog.l1_buffer_address(buf1);
-  prog.create_global_barrier(sh->barrier_id, 2 * ncores);
+  prog.create_global_barrier(kIterationBarrier, 2 * ncores);
 
   // ---------------- reading data mover ----------------
   prog.create_kernel(
@@ -158,7 +159,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
               ctx.loop_tick();
             }
           }
-          ctx.global_barrier(sh->barrier_id);
+          ctx.global_barrier(kIterationBarrier);
         }
       },
       "jacobi_tiled_reader");
@@ -255,7 +256,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
             ctx.cb_pop_front(kCbOut, 1);
             ctx.loop_tick();
           }
-          ctx.global_barrier(sh->barrier_id);
+          ctx.global_barrier(kIterationBarrier);
         }
       },
       "jacobi_tiled_writer");

@@ -9,10 +9,9 @@
 #include <cstring>
 #include <utility>
 
+#include "jacobi_internal.hpp"
 #include "ttsim/common/check.hpp"
-#include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/stencil.hpp"
-#include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
 
 namespace ttsim::core {
@@ -54,16 +53,6 @@ std::vector<Slab> decompose_slabs(int rows, int cards, int k) {
   return slabs;
 }
 
-/// Everything the unified epoch loop needs to know about the program being
-/// sharded, independent of the Jacobi/general split.
-struct Job {
-  const JacobiProblem* jacobi = nullptr;
-  const GeneralStencilProblem* general = nullptr;
-  int width = 0, rows = 0, iterations = 0;
-  int nfields = 1;
-  int written = 0;  ///< the field whose halo crosses the fabric
-};
-
 struct CardState {
   ttmetal::Device* dev = nullptr;
   Slab slab;
@@ -95,8 +84,11 @@ void slab_rows_write(ttmetal::Device& dev, const ttmetal::Buffer& buf,
       static_cast<std::uint64_t>(count) * row_bytes);
 }
 
+/// The epoch loop over a validated single-pass program whose per-field
+/// global padded images are `images` (updated in place to the final state).
 ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
-                                  sim::ChipLinkFabric& fabric, const Job& job,
+                                  sim::ChipLinkFabric& fabric,
+                                  const GeneralStencilProblem& p,
                                   const ShardedRunConfig& cfg,
                                   std::vector<std::vector<bfloat16_t>>& images) {
   const int cards = static_cast<int>(devices.size());
@@ -116,12 +108,12 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   if (temporal && k > 8) {
     TTSIM_THROW_API("temporal sharding chains at most 8 generations per epoch");
   }
-  if (job.iterations < 1) TTSIM_THROW_API("sharded run needs iterations >= 1");
+  const int nfields = static_cast<int>(p.fields.size());
+  const int written = p.passes[0].target;  // the field whose halo crosses
 
-  const PaddedLayout global(static_cast<std::uint32_t>(job.width),
-                            static_cast<std::uint32_t>(job.rows));
+  const PaddedLayout global(p.width, p.height);
   const std::uint64_t row_bytes = global.row_elems() * sizeof(bfloat16_t);
-  const auto slabs = decompose_slabs(job.rows, cards, k);
+  const auto slabs = decompose_slabs(static_cast<int>(p.height), cards, k);
   const int ncores = cfg.run.cores_x * cfg.run.cores_y;
 
   // Per-launch run config: the per-card strategies as-is, with the epoch
@@ -133,14 +125,8 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     if (temporal) lc.temporal_depth = klaunch;
     return lc;
   };
-  auto slab_jacobi = [&](const CardState& cs, int klaunch) {
-    JacobiProblem q = *job.jacobi;
-    q.height = static_cast<std::uint32_t>(cs.slab.height);
-    q.iterations = klaunch;
-    return q;
-  };
-  auto slab_general = [&](const CardState& cs, int klaunch) {
-    GeneralStencilProblem g = *job.general;
+  auto slab_problem = [&](const CardState& cs, int klaunch) {
+    GeneralStencilProblem g = p;
     g.height = static_cast<std::uint32_t>(cs.slab.height);
     g.iterations = klaunch;
     for (auto& f : g.fields) f.initial_field.clear();
@@ -158,8 +144,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     CardState& cs = state[static_cast<std::size_t>(c)];
     cs.dev = devices[static_cast<std::size_t>(c)];
     cs.slab = slabs[static_cast<std::size_t>(c)];
-    cs.layout = PaddedLayout(static_cast<std::uint32_t>(job.width),
-                             static_cast<std::uint32_t>(cs.slab.height));
+    cs.layout = PaddedLayout(p.width, static_cast<std::uint32_t>(cs.slab.height));
     const auto usable = cs.dev->usable_workers();
     if (static_cast<int>(usable.size()) < ncores) {
       TTSIM_THROW_API("card " << c << " has " << usable.size()
@@ -168,21 +153,19 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     cs.cores.assign(usable.begin(), usable.begin() + ncores);
 
     const ttmetal::BufferConfig bc =
-        job.general != nullptr
-            ? batch_grid_buffer_config(cfg.run, slab_general(cs, 1).geometry())
-            : batch_grid_buffer_config(cfg.run, slab_jacobi(cs, 1));
+        batch_grid_buffer_config(cfg.run, slab_problem(cs, 1).geometry());
     const std::size_t slab_begin =
         static_cast<std::size_t>(cs.slab.off) * global.row_elems();
     const std::size_t slab_elems =
         static_cast<std::size_t>(cs.slab.height + 2) * global.row_elems();
-    for (int f = 0; f < job.nfields; ++f) {
+    for (int f = 0; f < nfields; ++f) {
       const auto& img = images[static_cast<std::size_t>(f)];
       const std::span<const bfloat16_t> slice(img.data() + slab_begin,
                                               slab_elems);
       auto buf_a = cs.dev->create_buffer(bc);
       cs.dev->write_buffer(*buf_a, std::as_bytes(slice));
       cs.a.push_back(std::move(buf_a));
-      if (f == job.written) {
+      if (f == written) {
         // Both parities start from the same image: boundary rows are read
         // from whichever buffer is the sweep's source, so they must be
         // present (and equal) in both.
@@ -204,8 +187,8 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   for (auto& cs : state) cluster = std::max(cluster, cs.dev->now());
   bool swapped = false;
   int done = 0;
-  while (done < job.iterations) {
-    const int klaunch = std::min(k, job.iterations - done);
+  while (done < p.iterations) {
+    const int klaunch = std::min(k, p.iterations - done);
     ++result.epochs;
 
     SimTime epoch_kernel = 0;
@@ -218,37 +201,24 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
       // launch is a single DRAM pass, so with an even chain depth it READS
       // the d2 slot and writes d1 — the fresh grid must go in d2 then. A
       // row-chunk launch always reads d1 first, whatever its length.
-      const bool reads_d2 = temporal && klaunch % 2 == 0;
-      if (job.general != nullptr) {
-        GeneralBatchSlot slot;
-        for (int f = 0; f < job.nfields; ++f) {
-          const auto& a = cs.a[static_cast<std::size_t>(f)];
-          const auto& b = cs.b[static_cast<std::size_t>(f)];
-          if (f == job.written) {
-            const std::uint64_t fresh = swapped ? b->address() : a->address();
-            const std::uint64_t other = swapped ? a->address() : b->address();
-            slot.d1.push_back(reads_d2 ? other : fresh);
-            slot.d2.push_back(reads_d2 ? fresh : other);
-          } else {
-            slot.d1.push_back(a->address());
-            slot.d2.push_back(0);
-          }
+      const bool reads_d2 =
+          klaunch % 2 != detail::grid_passes(lc, klaunch) % 2;
+      GeneralBatchSlot slot;
+      for (int f = 0; f < nfields; ++f) {
+        const auto& a = cs.a[static_cast<std::size_t>(f)];
+        const auto& b = cs.b[static_cast<std::size_t>(f)];
+        if (f == written) {
+          const std::uint64_t fresh = swapped ? b->address() : a->address();
+          const std::uint64_t other = swapped ? a->address() : b->address();
+          slot.d1.push_back(reads_d2 ? other : fresh);
+          slot.d2.push_back(reads_d2 ? fresh : other);
+        } else {
+          slot.d1.push_back(a->address());
+          slot.d2.push_back(0);
         }
-        slot.core_ids = cs.cores;
-        build_batched_stencil_program(prog, slab_general(cs, klaunch), lc,
-                                      {slot});
-      } else {
-        const auto& a = cs.a[0];
-        const auto& b = cs.b[0];
-        const std::uint64_t fresh = swapped ? b->address() : a->address();
-        const std::uint64_t other = swapped ? a->address() : b->address();
-        BatchSlot slot;
-        slot.d1 = reads_d2 ? other : fresh;
-        slot.d2 = reads_d2 ? fresh : other;
-        slot.core_ids = cs.cores;
-        build_batched_rowchunk_program(prog, slab_jacobi(cs, klaunch), lc,
-                                       {slot});
       }
+      slot.core_ids = cs.cores;
+      build_batched_stencil_program(prog, slab_problem(cs, klaunch), lc, {slot});
       cs.dev->run_program(prog);
       epoch_kernel = std::max(epoch_kernel, cs.dev->last_kernel_duration());
     }
@@ -259,11 +229,12 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
 
     // Parity: a row-chunk launch flips buffers once per iteration; a
     // temporal launch is a single DRAM pass however deep the chain is.
-    const int flips = temporal ? 1 : klaunch;
-    if (flips % 2 == 1) swapped = !swapped;
+    if (detail::grid_passes(launch_cfg(klaunch), klaunch) % 2 == 1) {
+      swapped = !swapped;
+    }
     done += klaunch;
     cluster = epoch_end;
-    if (done >= job.iterations) break;
+    if (done >= p.iterations) break;
 
     // --- halo exchange across every interior cut ---
     // Each side sends its k outermost owned rows of the written field; the
@@ -278,7 +249,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     for (int c = 0; c + 1 < cards; ++c) {
       CardState& up = state[static_cast<std::size_t>(c)];
       CardState& dn = state[static_cast<std::size_t>(c + 1)];
-      const int f = job.written;
+      const int f = written;
       auto* up_res = (swapped ? up.b[static_cast<std::size_t>(f)]
                               : up.a[static_cast<std::size_t>(f)])
                          .get();
@@ -324,7 +295,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   // --- readback (PCIe, per card in parallel) and assembly ---
   for (auto& cs : state) {
     cs.dev->hw().engine().run_until(cluster);
-    const int f = job.written;
+    const int f = written;
     auto* res = (swapped ? cs.b[static_cast<std::size_t>(f)]
                          : cs.a[static_cast<std::size_t>(f)])
                     .get();
@@ -346,12 +317,11 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   const auto fabric_after = fabric.totals();
   result.link_bytes = fabric_after.bytes - fabric_before.bytes;
 
-  for (int f = 0; f < job.nfields; ++f) {
+  for (int f = 0; f < nfields; ++f) {
     result.fields.push_back(
         global.extract_interior(images[static_cast<std::size_t>(f)]));
   }
-  result.solution = result.fields[static_cast<std::size_t>(job.written)];
-  if (job.general == nullptr) result.fields.clear();
+  result.solution = result.fields[static_cast<std::size_t>(written)];
   return result;
 }
 
@@ -381,12 +351,6 @@ ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
                                     const JacobiProblem& p,
                                     const ShardedRunConfig& cfg,
                                     std::vector<bfloat16_t>* state) {
-  Job job;
-  job.jacobi = &p;
-  job.width = static_cast<int>(p.width);
-  job.rows = static_cast<int>(p.height);
-  job.iterations = p.iterations;
-
   const PaddedLayout global(p.width, p.height);
   const bool resuming = state != nullptr && !state->empty();
   if (resuming && state->size() != global.elems()) {
@@ -394,19 +358,16 @@ ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
                     << " elements; the padded layout needs " << global.elems());
   }
   std::vector<std::vector<bfloat16_t>> images;
-  images.push_back(resuming ? *state : global.initial_image(p));
-
-  ShardedRunResult result = run_sharded_impl(cards, fabric, job, cfg, images);
-  if (state != nullptr) *state = images[0];
+  if (resuming) images.push_back(*state);
+  ShardedRunConfig gcfg = cfg;
+  gcfg.verify = false;  // checked against the Jacobi reference below
+  ShardedRunResult result =
+      run_general_sharded(cards, fabric, jacobi_program(p), gcfg, &images);
+  if (state != nullptr) *state = std::move(images[0]);
+  result.fields.clear();
 
   if (cfg.verify && !resuming) {
-    const auto ref = cpu::jacobi_reference_bf16(p);
-    result.verified_ok = ref.size() == result.solution.size();
-    for (std::size_t i = 0; result.verified_ok && i < ref.size(); ++i) {
-      if (static_cast<float>(ref[i]) != result.solution[i]) {
-        result.verified_ok = false;
-      }
-    }
+    result.verified_ok = detail::matches_reference(p, result.solution);
   }
   return result;
 }
@@ -420,13 +381,6 @@ ShardedRunResult run_general_sharded(
     TTSIM_THROW_API("sharded general runs support single-pass programs only ("
                     << p.passes.size() << " passes)");
   }
-  Job job;
-  job.general = &p;
-  job.width = static_cast<int>(p.width);
-  job.rows = static_cast<int>(p.height);
-  job.iterations = p.iterations;
-  job.nfields = static_cast<int>(p.fields.size());
-  job.written = p.passes[0].target;
 
   const PaddedLayout global(p.width, p.height);
   const bool resuming = state != nullptr && !state->empty();
@@ -438,12 +392,12 @@ ShardedRunResult run_general_sharded(
     }
     images = *state;
   } else {
-    for (int f = 0; f < job.nfields; ++f) {
+    for (int f = 0; f < static_cast<int>(p.fields.size()); ++f) {
       images.push_back(general_field_image(global, p, f));
     }
   }
 
-  ShardedRunResult result = run_sharded_impl(cards, fabric, job, cfg, images);
+  ShardedRunResult result = run_sharded_impl(cards, fabric, p, cfg, images);
   if (state != nullptr) *state = images;
 
   if (cfg.verify && !resuming) {

@@ -1,14 +1,19 @@
 /// \file stencil_device.cpp
 /// The general radius-1 stencil lowering onto the Section VI row-chunk
-/// machinery: every pass of every iteration streams each referenced field
-/// through its own slot rotation (contiguous chunk+halo reads, read-ahead
-/// deep, no memcpy — the compute kernel aliases CB read pointers into the
-/// mover's slots), and the shared tap-chain emitter replays the problem's
-/// terms in listed order. Each term costs one FPU multiply against the
-/// weight table plus (after the first) one addition — so a 3-tap upwind
-/// advection still runs cheaper per point than 5-tap diffusion, and a
-/// field whose taps need no vertical halo streams one row per batch
-/// instead of three.
+/// design (paper Fig. 6): every pass of every iteration streams each
+/// referenced field through its own slot rotation (contiguous chunk+halo
+/// reads, read-ahead deep, no memcpy — the compute kernel aliases CB read
+/// pointers into the mover's slots), and the shared tap-chain emitter
+/// replays the problem's terms in listed order. Each term costs one FPU
+/// multiply against the weight table plus (after the first) one addition —
+/// so a 3-tap upwind advection still runs cheaper per point than 5-tap
+/// diffusion, and a field whose taps need no vertical halo streams one row
+/// per batch instead of three. Sum-only passes (Jacobi) skip the products
+/// and scale once, exactly the paper's Listing 2 op count.
+///
+/// Also the drivers every row-chunk, SRAM-resident and temporal launch goes
+/// through: core selection with graceful degradation, buffer staging, the
+/// certified (prove-then-lower) program, readback and verification.
 
 #include <algorithm>
 #include <set>
@@ -28,9 +33,12 @@ std::uint32_t slot_bytes_for(std::uint32_t chunk) {
   return static_cast<std::uint32_t>(align_up((chunk + 2) * 2 + 32, 64));
 }
 
-/// Per-core chunk geometry with the continuous slot rotation of
-/// jacobi_rowchunk: nslots = 2N+3 so a new column's first rows never land
-/// in slots the previous column's in-flight batches still reference.
+/// Per-core chunk geometry (Fig. 6): batches are one-dimensional chunks of
+/// up to `chunk_elems` along X, each read as one contiguous chunk+2
+/// element span. The row-slot rotation runs continuously across column
+/// strips (each strip touches nrows+2 rows: the strip plus one halo row per
+/// side), so a new column's first rows take the slots after the previous
+/// column's tail instead of slots its in-flight batches still reference.
 struct ChunkGrid {
   CoreRange rg;
   std::uint32_t chunk, ncols, nrows, nslots;
@@ -38,6 +46,10 @@ struct ChunkGrid {
   ChunkGrid(const CoreRange& r, std::uint32_t chunk_elems, std::uint32_t slots)
       : rg(r), nslots(slots) {
     const std::uint32_t strip = rg.col_hi - rg.col_lo;
+    // Largest chunk that tiles the strip exactly and keeps writes aligned
+    // (multiple of 16 elements). X-decompositions whose strips don't divide
+    // by 1024 thus run with narrower chunks — wasting FPU lanes, which is
+    // the cost the paper's Table VIII shows for cores-in-X scaling.
     chunk = std::min(chunk_elems, strip);
     while (chunk > 16 && (strip % chunk != 0 || chunk % 16 != 0)) --chunk;
     TTSIM_CHECK_MSG(strip % chunk == 0 && chunk % 16 == 0,
@@ -54,6 +66,77 @@ struct ChunkGrid {
 };
 
 }  // namespace
+
+std::vector<CoreRange> decompose(const JacobiProblem& p, int cores_x, int cores_y,
+                                 std::uint32_t col_align) {
+  if (cores_x < 1 || cores_y < 1) TTSIM_THROW_API("need at least a 1x1 core grid");
+  if (p.width % static_cast<std::uint32_t>(cores_x) != 0) {
+    TTSIM_THROW_API("domain width " << p.width << " does not divide across "
+                                    << cores_x << " cores in X");
+  }
+  const std::uint32_t strip = p.width / static_cast<std::uint32_t>(cores_x);
+  if (strip % col_align != 0) {
+    TTSIM_THROW_API("per-core strip width " << strip << " must be a multiple of "
+                                            << col_align);
+  }
+  if (static_cast<std::uint32_t>(cores_y) > p.height) {
+    TTSIM_THROW_API("more Y cores than rows");
+  }
+  std::vector<CoreRange> ranges;
+  const std::uint32_t base = p.height / static_cast<std::uint32_t>(cores_y);
+  const std::uint32_t extra = p.height % static_cast<std::uint32_t>(cores_y);
+  std::uint32_t row = 0;
+  for (int cy = 0; cy < cores_y; ++cy) {
+    const std::uint32_t rows =
+        base + (static_cast<std::uint32_t>(cy) < extra ? 1 : 0);
+    for (int cx = 0; cx < cores_x; ++cx) {
+      ranges.push_back(CoreRange{row, row + rows,
+                                 static_cast<std::uint32_t>(cx) * strip,
+                                 (static_cast<std::uint32_t>(cx) + 1) * strip});
+    }
+    row += rows;
+  }
+  return ranges;
+}
+
+CoreSelection select_cores(ttmetal::Device& device, std::uint32_t width,
+                           const DeviceRunConfig& cfg) {
+  CoreSelection sel;
+  sel.cores_x = cfg.cores_x;
+  sel.cores_y = cfg.cores_y;
+  const auto usable = device.usable_workers();
+  while (sel.ncores() > static_cast<int>(usable.size())) {
+    if (sel.cores_y > 1) {
+      --sel.cores_y;
+    } else if (sel.cores_x > 1) {
+      do {
+        --sel.cores_x;
+      } while (sel.cores_x > 1 && width % static_cast<std::uint32_t>(sel.cores_x) != 0);
+    } else {
+      TTSIM_THROW_API("no usable workers remain ("
+                      << device.num_workers() - static_cast<int>(usable.size())
+                      << " failed cores)");
+    }
+  }
+  sel.core_ids.assign(usable.begin(), usable.begin() + sel.ncores());
+  return sel;
+}
+
+ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
+                                         const PaddedLayout& layout) {
+  ttmetal::BufferConfig bc;
+  bc.size = layout.bytes();
+  bc.layout = cfg.buffer_layout;
+  if (cfg.buffer_layout == ttmetal::BufferLayout::kInterleaved) {
+    bc.page_size = cfg.interleave_page;
+  } else if (cfg.buffer_layout == ttmetal::BufferLayout::kStriped) {
+    // Sixteen row slabs per grid: every Y sub-range of cores still spreads
+    // its traffic over all eight banks.
+    bc.page_size = align_up(layout.bytes() / 16 + 1, 32);
+    bc.balanced_stripes = cfg.balanced_stripes;
+  }
+  return bc;
+}
 
 void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
   p.validate();
@@ -98,6 +181,10 @@ void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
     // The Life recombination reads the self field's centre row — stream it
     // even when no tap term references it.
     if (lp.post == PostOp::kLife) touch(lp.self_field, 0);
+    lp.sum_only = pass.post == PostOp::kNone && pass.terms.size() >= 2 &&
+                  std::all_of(pass.terms.begin(), pass.terms.end(),
+                              [](const TapTerm& t) { return t.weight == 1.0f; });
+    if (pass.scale != 1.0f) lp.scale_widx = weight_index(pass.scale);
     sh.passes.push_back(std::move(lp));
   }
 }
@@ -117,8 +204,8 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   // halo rows for every column boundary inside that window. A window of N
   // batches crosses at most ceil(N/nrows_min) boundaries, which matters
   // when the decomposition leaves fewer rows per core than the read-ahead
-  // depth (jacobi_rowchunk never sees that regime; the general frontend's
-  // conformance sweep does).
+  // depth (the conformance sweep's small strips). At the paper's N = 2 on
+  // strips of at least two rows that is 9 slots.
   std::uint32_t nrows_min = UINT32_MAX;
   for (const auto& rg : sh->ranges) {
     nrows_min = std::min(nrows_min, rg.row_hi - rg.row_lo);
@@ -130,11 +217,10 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   // One stream CB per field any pass references; the accumulator CBs only
   // when a chain is long enough to need them.
   std::vector<char> streamed(static_cast<std::size_t>(nfields), 0);
-  bool needs_inter = false, needs_post = false;
+  ChainCbs chain;
   for (const auto& pass : sh->passes) {
     for (const auto& pf : pass.reads) streamed[static_cast<std::size_t>(pf.field)] = 1;
-    if (pass.terms.size() > 1) needs_inter = true;
-    if (pass.post != PostOp::kNone) needs_post = true;
+    chain |= ChainCbs(pass);
   }
   for (int f = 0; f < nfields; ++f) {
     if (streamed[static_cast<std::size_t>(f)]) {
@@ -142,10 +228,13 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
     }
   }
   prog.create_cb(kCbWgt, cores, kTileBytes, 1);
-  if (needs_inter) prog.create_cb(kCbGInter, cores, kTileBytes, 2);
-  if (needs_inter || needs_post) prog.create_cb(kCbGTmp, cores, kTileBytes, 2);
-  if (needs_post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
+  create_chain_cbs(prog, cores, chain);
   prog.create_cb(kCbGOut, cores, kTileBytes, 4);
+  if (sh->residual_addr != 0) {
+    TTSIM_CHECK_MSG(nfields == 1 && sh->passes.size() == 1,
+                    "device-side residuals need a single-field single-pass program");
+    prog.create_cb(kCbGRes, cores, 32, 1);
+  }
 
   std::uint32_t max_chunk = 16;
   for (const auto& rg : sh->ranges) {
@@ -189,8 +278,9 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
               const std::uint32_t read_bytes = (grid.chunk + 2) * 2 + off;
               // Reads are tagged per (field, slot) so a batch waits only on
               // the one row it still needs while `depth` batches of reads
-              // stay in flight (see jacobi_rowchunk for the rotation and
-              // tag-reuse argument; tags of different fields never clash).
+              // stay in flight. A tag is reusable by the time its slot is:
+              // row y's read is waited at batch y-hi, long before row
+              // y + nslots is issued; tags of different fields never clash.
               auto issue_row = [&](std::size_t e, std::int64_t y) {
                 const int f = pass.reads[e].field;
                 const std::uint32_t slot = grid.slot_of(col, y);
@@ -270,7 +360,9 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
         ctx.binary_op_init_common(kCbWgt, kCbFieldBase);
         fill_weight_table(ctx, wtab, sh->weights);
         std::vector<TapAddr> taps;
+        bfloat16_t residual{0.0f};
         for (int it = 0; it < sh->iterations; ++it) {
+          const bool track = sh->residual_addr != 0 && it == sh->iterations - 1;
           for (const LoweredPass& pass : sh->passes) {
             for (std::uint32_t col = 0; col < grid.ncols; ++col) {
               const std::int64_t c0 = grid.rg.col_lo +
@@ -300,9 +392,24 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                 }
                 const TapAddr self{kCbFieldBase + pass.self_field,
                                    tap_at(pass.self_field, 0, 0), valid, 0};
-                emit_tap_chain(ctx, wtab, taps, pass.post, self, [&](int reg) {
+                emit_tap_chain(ctx, wtab, pass, taps, self, [&](int reg) {
                   ctx.cb_reserve_back(kCbGOut, 1);
                   ctx.pack_tile(reg, kCbGOut);
+                  if (track) {
+                    // Device-side residual: |new - old| over this chunk,
+                    // reduced on the FPU. Alias the freshly packed page and
+                    // the source slot's centre row as the two operands.
+                    constexpr int dst1 = 1;
+                    ctx.cb_set_rd_ptr(kCbGOut, ctx.get_write_ptr(kCbGOut), valid);
+                    ctx.cb_set_rd_ptr(kCbWgt, tap_at(pass.target, 0, 0), valid);
+                    ctx.sub_tiles(kCbGOut, kCbWgt, 0, 0, dst1);
+                    ctx.cb_clear_rd_ptr(kCbGOut);
+                    ctx.abs_tile(dst1);
+                    const bfloat16_t m = ctx.reduce_max(dst1);
+                    if (static_cast<float>(m) > static_cast<float>(residual)) {
+                      residual = m;
+                    }
+                  }
                   ctx.cb_push_back(kCbGOut, 1);
                 });
                 for (const auto& pf : pass.reads) {
@@ -312,6 +419,13 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
               }
             }
           }
+        }
+        if (sh->residual_addr != 0) {
+          ctx.cb_reserve_back(kCbGRes, 1);
+          auto* page = reinterpret_cast<bfloat16_t*>(
+              ctx.l1_ptr(ctx.get_write_ptr(kCbGRes)));
+          page[0] = residual;
+          ctx.cb_push_back(kCbGRes, 1);
         }
       },
       "stencil_compute");
@@ -341,6 +455,17 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
             }
             ctx.global_barrier(sh->barrier_id);
           }
+        }
+        if (sh->residual_addr != 0) {
+          // One BF16 residual per core, each in its own aligned 32-byte slot.
+          ctx.cb_wait_front(kCbGRes, 1);
+          ctx.noc_async_write(
+              ctx.get_read_ptr(kCbGRes),
+              ctx.get_noc_addr(sh->residual_addr +
+                               static_cast<std::uint64_t>(ctx.position()) * 32),
+              2);
+          ctx.noc_async_write_barrier();
+          ctx.cb_pop_front(kCbGRes, 1);
         }
       },
       "stencil_writer");
@@ -374,7 +499,7 @@ std::vector<bfloat16_t> general_field_image(const PaddedLayout& layout,
   return image;
 }
 
-namespace {
+namespace detail {
 
 void validate_run_config(const GeneralStencilProblem& p, const DeviceRunConfig& cfg) {
   p.validate();
@@ -388,6 +513,10 @@ void validate_run_config(const GeneralStencilProblem& p, const DeviceRunConfig& 
     TTSIM_THROW_API("general stencils lower onto the row-chunk, SRAM-resident "
                     "or temporal strategies (got " << to_string(cfg.strategy)
                     << ")");
+  }
+  if (!cfg.toggles.all_enabled()) {
+    TTSIM_THROW_API("component toggles are a Table II instrument of the tiled "
+                    "(Section IV) designs");
   }
   if (cfg.strategy == DeviceStrategy::kSramResident &&
       (p.fields.size() != 1 || p.passes.size() != 1)) {
@@ -418,28 +547,67 @@ void validate_run_config(const GeneralStencilProblem& p, const DeviceRunConfig& 
   }
 }
 
-}  // namespace
+void check_core_count(const DeviceRunConfig& cfg, int num_workers) {
+  if (cfg.cores_x * cfg.cores_y > num_workers) {
+    TTSIM_THROW_API("decomposition needs " << cfg.cores_x * cfg.cores_y
+                                           << " cores but the card has "
+                                           << num_workers << " workers");
+  }
+}
+
+int grid_passes(const DeviceRunConfig& cfg, int iterations) {
+  if (cfg.strategy != DeviceStrategy::kTemporal) return iterations;
+  return (iterations + cfg.temporal_depth - 1) / cfg.temporal_depth;
+}
+
+std::shared_ptr<GeneralShared> make_general_shared(const GeneralStencilProblem& p,
+                                                   const DeviceRunConfig& cfg,
+                                                   const CoreSelection& sel) {
+  auto sh = std::make_shared<GeneralShared>(PaddedLayout(p.width, p.height));
+  lower_program(p, *sh);
+  sh->chunk_elems = cfg.chunk_elems;
+  sh->read_ahead = cfg.read_ahead;
+  sh->temporal_depth = cfg.temporal_depth;
+  sh->ranges = decompose(p.geometry(), sel.cores_x, sel.cores_y, 16);
+  sh->core_ids = sel.core_ids;
+  return sh;
+}
+
+void emit_certified(ttmetal::Program& prog, std::shared_ptr<GeneralShared> sh,
+                    DeviceStrategy strategy, std::int64_t sram_bytes) {
+  ir::lower(make_general_graph(std::move(sh), strategy, sram_bytes), prog);
+}
+
+SimTime launch_single_field(ttmetal::Device& device, const GeneralStencilProblem& p,
+                            const DeviceRunConfig& cfg, const CoreSelection& sel,
+                            std::uint64_t fresh, std::uint64_t other,
+                            std::uint64_t residual_addr) {
+  TTSIM_CHECK(p.fields.size() == 1);
+  auto sh = make_general_shared(p, cfg, sel);
+  const bool reads_d2 = p.iterations % 2 != grid_passes(cfg, p.iterations) % 2;
+  sh->d1 = {reads_d2 ? other : fresh};
+  sh->d2 = {reads_d2 ? fresh : other};
+  sh->residual_addr = residual_addr;
+  ttmetal::Program prog;
+  emit_certified(prog, std::move(sh), cfg.strategy,
+                 static_cast<std::int64_t>(device.spec().sram_bytes));
+  device.run_program(prog);
+  return device.last_kernel_duration();
+}
+
+}  // namespace detail
 
 GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
                                                const GeneralStencilProblem& p,
                                                const DeviceRunConfig& cfg) {
-  validate_run_config(p, cfg);
-  const int ncores = cfg.cores_x * cfg.cores_y;
-  if (ncores > device.num_workers()) {
-    TTSIM_THROW_API("decomposition needs " << ncores << " cores but the e150 has "
-                                           << device.num_workers());
-  }
+  detail::validate_run_config(p, cfg);
+  detail::check_core_count(cfg, device.num_workers());
+  const detail::CoreSelection sel = detail::select_cores(device, p.width, cfg);
 
   const PaddedLayout layout(p.width, p.height);
   const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
   const int nfields = static_cast<int>(p.fields.size());
-
-  auto shared = std::make_shared<detail::GeneralShared>(layout);
-  detail::lower_program(p, *shared);
-  shared->chunk_elems = cfg.chunk_elems;
-  shared->read_ahead = cfg.read_ahead;
-  shared->temporal_depth = cfg.temporal_depth;
-  shared->ranges = detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
+  auto shared = detail::make_general_shared(p, cfg, sel);
 
   // One buffer pair per field — read-only fields live in a single buffer
   // (their "pair" slot stays 0 and src_of always resolves to d1).
@@ -468,20 +636,8 @@ GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
   }
 
   ttmetal::Program prog;
-  if (cfg.lowering == LoweringPath::kIr) {
-    // Prove the protocol race/deadlock-free, then lower; the graph's emit
-    // closure calls the same strategy builder the kHandWired branch does.
-    ir::lower(detail::make_general_graph(
-                  shared, cfg.strategy,
-                  static_cast<std::int64_t>(device.spec().sram_bytes)),
-              prog);
-  } else if (cfg.strategy == DeviceStrategy::kSramResident) {
-    detail::build_general_sram_program(prog, shared);
-  } else if (cfg.strategy == DeviceStrategy::kTemporal) {
-    detail::build_general_temporal_group(prog, shared);
-  } else {
-    detail::build_general_rowchunk_group(prog, shared);
-  }
+  detail::emit_certified(prog, shared, cfg.strategy,
+                         static_cast<std::int64_t>(device.spec().sram_bytes));
   device.run_program(prog);
 
   GeneralRunResult result;
@@ -496,7 +652,7 @@ GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
   }
   result.kernel_time = device.last_kernel_duration();
   result.total_time = device.now() - t_start;
-  result.cores_used = ncores;
+  result.cores_used = sel.ncores();
   result.solution = result.fields[static_cast<std::size_t>(p.primary_field())];
 
   if (cfg.verify) {
@@ -528,7 +684,6 @@ void build_batched_stencil_program(ttmetal::Program& prog,
   if (slots.empty()) TTSIM_THROW_API("batched launch needs at least one slot");
   validate_stencil_request(p, cfg);
 
-  const PaddedLayout layout(p.width, p.height);
   const auto ranges = detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
   const std::size_t nfields = p.fields.size();
 
@@ -553,15 +708,10 @@ void build_batched_stencil_program(ttmetal::Program& prog,
 
   for (std::size_t g = 0; g < slots.size(); ++g) {
     const GeneralBatchSlot& slot = slots[g];
-    auto shared = std::make_shared<detail::GeneralShared>(layout);
-    detail::lower_program(p, *shared);
-    shared->chunk_elems = cfg.chunk_elems;
-    shared->read_ahead = cfg.read_ahead;
-    shared->temporal_depth = cfg.temporal_depth;
+    auto shared = detail::make_general_shared(
+        p, cfg, detail::CoreSelection{cfg.cores_x, cfg.cores_y, slot.core_ids});
     shared->d1 = slot.d1;
     shared->d2 = slot.d2;
-    shared->ranges = ranges;
-    shared->core_ids = slot.core_ids;
     shared->barrier_id = static_cast<int>(g);
     if (cfg.strategy == DeviceStrategy::kTemporal) {
       detail::build_general_temporal_group(prog, shared);
@@ -573,40 +723,24 @@ void build_batched_stencil_program(ttmetal::Program& prog,
 
 void validate_stencil_request(const GeneralStencilProblem& p,
                               const DeviceRunConfig& cfg) {
-  p.validate();
-  if (cfg.strategy != DeviceStrategy::kRowChunk &&
-      cfg.strategy != DeviceStrategy::kTemporal) {
+  detail::validate_run_config(p, cfg);
+  if (cfg.strategy == DeviceStrategy::kSramResident) {
     TTSIM_THROW_API("batched launches are built on the row-chunk or temporal "
                     "strategies");
   }
-  if (cfg.strategy == DeviceStrategy::kTemporal) {
-    if (p.passes.size() != 1) {
-      TTSIM_THROW_API("temporal tiling chains generations of ONE pass through "
-                      "L1: single-pass programs only");
-    }
-    if (cfg.cores_x != 1) {
-      TTSIM_THROW_API("temporal tiling decomposes in Y only (cores_x == 1)");
-    }
-    if (p.width > 1024 && p.width % 1024 != 0) {
-      TTSIM_THROW_API("SRAM-slab domains must be <= 1024 wide or a multiple of "
-                      "1024 (FPU tile packs write straight into the slab)");
-    }
-    if (cfg.temporal_depth < 1 || cfg.temporal_depth > 8) {
-      TTSIM_THROW_API("temporal_depth must be in [1, 8] (got "
-                      << cfg.temporal_depth << ")");
-    }
-  }
-  if (cfg.read_ahead < 2 || cfg.read_ahead > 64) {
-    TTSIM_THROW_API("read_ahead must be in [2, 64] (got " << cfg.read_ahead
-                    << "); 2 is the paper's two-batch scheme");
-  }
   (void)detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
+}
+
+ttmetal::BufferConfig batch_grid_buffer_config(const DeviceRunConfig& cfg,
+                                               const JacobiProblem& p) {
+  return detail::grid_buffer_config(cfg, PaddedLayout(p.width, p.height));
 }
 
 DeviceRunResult run_stencil_on_device(ttmetal::Device& device, const StencilProblem& p,
                                       const DeviceRunConfig& cfg) {
   if (p.stencil.active_taps() == 0) TTSIM_THROW_API("stencil has no non-zero taps");
   DeviceRunConfig c = cfg;
+  c.toggles = ComponentToggles{};
   if (c.strategy != DeviceStrategy::kSramResident &&
       c.strategy != DeviceStrategy::kTemporal) {
     c.strategy = DeviceStrategy::kRowChunk;

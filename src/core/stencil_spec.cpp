@@ -107,6 +107,9 @@ std::uint64_t GeneralStencilProblem::transition_hash() const {
       fnv(h, static_cast<std::uint64_t>(term.tap));
       fnv(h, float_bits(term.weight));
     }
+    // Hashed only when it does something, so unscaled programs keep the
+    // hashes they always had.
+    if (pass.scale != 1.0f) fnv(h, float_bits(pass.scale));
   }
   return h;
 }
@@ -135,6 +138,29 @@ GeneralStencilProblem to_general(const StencilProblem& p) {
   for (const auto& [w, tap] : taps) {
     if (w != 0.0f) pass.terms.push_back(TapTerm{0, tap, w});
   }
+  g.passes.push_back(std::move(pass));
+  return g;
+}
+
+GeneralStencilProblem jacobi_program(const JacobiProblem& p) {
+  GeneralStencilProblem g;
+  g.width = p.width;
+  g.height = p.height;
+  g.iterations = p.iterations;
+  FieldSpec f;
+  f.name = "u";
+  f.bc_left = p.bc_left;
+  f.bc_right = p.bc_right;
+  f.bc_top = p.bc_top;
+  f.bc_bottom = p.bc_bottom;
+  f.initial = p.initial;
+  g.fields.push_back(std::move(f));
+  StencilPass pass;
+  pass.target = 0;
+  for (const Tap tap : {Tap::kW, Tap::kE, Tap::kN, Tap::kS}) {
+    pass.terms.push_back(TapTerm{0, tap, 1.0f});
+  }
+  pass.scale = 0.25f;
   g.passes.push_back(std::move(pass));
   return g;
 }

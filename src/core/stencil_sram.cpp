@@ -1,10 +1,9 @@
 /// \file stencil_sram.cpp
 /// SRAM-resident lowering of the general frontend (single-field single-pass
-/// programs, Y-only decompositions): the jacobi_sram machinery — both slab
-/// parities resident in L1, neighbour-pairwise halo exchange, per-row R
-/// restores after tile-pack spill, DRAM touched only for the initial load
-/// and final writeback — driving the shared tap-chain emitter instead of
-/// the fixed Jacobi chain. Because both strategies emit the identical FPU
+/// programs, Y-only decompositions) — the paper's concluding proposal: both
+/// slab parities resident in L1, neighbour-pairwise halo exchange over the
+/// NoC, per-row R restores after tile-pack spill, DRAM touched only for the
+/// initial load and final writeback — driving the shared tap-chain emitter. Because both strategies emit the identical FPU
 /// op sequence per point, rowchunk-vs-SRAM bit-exactness holds by
 /// construction; diagonal taps are safe here because the upward halo send's
 /// R exclusion only leaves the receiver's halo-row R at its initial value,
@@ -22,7 +21,7 @@
 namespace ttsim::core::detail {
 namespace {
 
-// Semaphore ids per core (same protocol as jacobi_sram).
+// Semaphore ids per core.
 constexpr int kSemTopHalo = 0;     // posted by the upper neighbour's dm1
 constexpr int kSemBottomHalo = 1;  // posted by the lower neighbour's dm0
 constexpr int kSemComputeDm0 = 2;  // compute -> dm0: iteration finished
@@ -93,13 +92,9 @@ void build_general_sram_program(ttmetal::Program& prog,
 
   // The field CB is a read-alias vehicle and kCbGOut the pack's write-alias
   // vehicle — neither is ever pushed. The accumulator CBs carry real pages.
-  const bool needs_inter = sh->pass.terms.size() > 1;
-  const bool needs_post = sh->pass.post != PostOp::kNone;
   prog.create_cb(kCbFieldBase, cores, kTileBytes, 1);
   prog.create_cb(kCbWgt, cores, kTileBytes, 1);
-  if (needs_inter) prog.create_cb(kCbGInter, cores, kTileBytes, 2);
-  if (needs_inter || needs_post) prog.create_cb(kCbGTmp, cores, kTileBytes, 2);
-  if (needs_post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
+  create_chain_cbs(prog, cores, ChainCbs(sh->pass));
   prog.create_cb(kCbGOut, cores, kTileBytes, 1);
   sh->slab_a = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
   sh->slab_b = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
@@ -198,7 +193,7 @@ void build_general_sram_program(ttmetal::Program& prog,
               }
               const TapAddr self{kCbFieldBase,
                                  sh->row_data(src, lr) + c0 * 2 + 2, valid, 0};
-              emit_tap_chain(ctx, sh->wtab, taps, sh->pass.post, self,
+              emit_tap_chain(ctx, sh->wtab, sh->pass, taps, self,
                              [&](int reg) {
                                // Pack straight into the destination slab row
                                // (interior col c0 = data elem c0+1).

@@ -1,4 +1,4 @@
-/// \file jacobi_temporal.cpp
+/// \file stencil_temporal.cpp
 /// Temporal tiling (kTemporal): chain k iterations through SRAM per DRAM
 /// pass. The paper's own attribution names DRAM bank queueing as the wall
 /// (Table VII: 0.92 utilization with two cores), yet every row-chunk sweep
@@ -26,10 +26,10 @@
 /// the writes-before-next-reads edge; inside an epoch the three kernels
 /// hand one block around a per-core semaphore ring.
 ///
-/// Slab rows use the jacobi_sram layout ([32 B prefix][L][W interior][R]
-/// [tile-spill pad]) and the compute chain replays the row-chunk /
-/// SRAM-resident op order exactly, so results are bit-exact with k
-/// sequential depth-1 sweeps (and with the CPU reference).
+/// Slab rows use the SRAM-resident layout ([32 B prefix][L][W interior][R]
+/// [tile-spill pad]) and the compute chain is the shared tap-chain emitter,
+/// so results are bit-exact with k sequential depth-1 sweeps (and with the
+/// CPU reference).
 
 #include <algorithm>
 #include <cstring>
@@ -43,10 +43,6 @@ namespace {
 constexpr int kSemLoaded = 0;    // dm0 -> compute: slabs loaded and patched
 constexpr int kSemComputed = 1;  // compute -> dm1: final generation packed
 constexpr int kSemFree = 2;      // dm1 -> dm0: slab reusable (initial 1)
-
-/// L1 slab budget per core: the e150's 1 MiB minus a reserve for the CBs,
-/// the weight table and program scratch.
-constexpr std::uint32_t kSlabBudget = (1u << 20) - 96 * 1024;
 
 struct TemporalField {
   std::uint64_t fin = 0;     ///< DRAM buffer holding the field's final state
@@ -74,9 +70,8 @@ struct TemporalShared {
   std::vector<CoreRange> ranges;  // cores_x == 1: one strip per core
   std::vector<int> core_ids;
   int barrier_id = kIterationBarrier;
-  bool classic = true;         ///< replicate the Jacobi op chain verbatim
-  LoweredPass pass;            // general path only
-  std::vector<float> weights;  // general path only
+  LoweredPass pass;
+  std::vector<float> weights;
 
   explicit TemporalShared(const PaddedLayout& l) : layout(l) {}
 
@@ -142,53 +137,6 @@ struct TemporalShared {
   }
 };
 
-/// The exact SRAM-resident Jacobi chain — ((xm + xp) + ym + yp) * 0.25,
-/// every intermediate through the kCbInter accumulator — so temporal
-/// results replay the other strategies bit for bit.
-void emit_classic_point(ttmetal::ComputeCtx& ctx, const TemporalShared& sh,
-                        std::uint32_t src, std::uint32_t dst, std::uint32_t lr,
-                        std::uint32_t c0) {
-  constexpr int dst0 = 0;
-  const std::uint32_t row_c = sh.row_data(src, lr) + c0 * 2;
-  const std::uint32_t row_n = sh.row_data(src, lr - 1) + c0 * 2;
-  const std::uint32_t row_s = sh.row_data(src, lr + 1) + c0 * 2;
-  ctx.cb_set_rd_ptr(kCbOut, row_c);  // reuse out cb as xm vehicle
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbInter, row_c + 4);  // xp
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_n + 2);  // ym
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_s + 2);  // yp
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_wait_front(kCbScalar, 1);
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.mul_tiles(kCbScalar, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  // Interior col c0 = data elem c0+1; the pack's unused lanes spill past
-  // the interior (clobbering R when W < 1024 — restored between steps).
-  ctx.cb_set_wr_ptr(kCbOut, sh.row_data(dst, lr) + (c0 + 1) * 2);
-  ctx.pack_tile(dst0, kCbOut);
-}
-
 void build_temporal_kernels(ttmetal::Program& prog,
                             std::shared_ptr<TemporalShared> sh) {
   const std::uint32_t W = sh->layout.width();
@@ -237,31 +185,17 @@ void build_temporal_kernels(ttmetal::Program& prog,
   const std::vector<int>& cores = sh->core_ids;
   TTSIM_CHECK(static_cast<int>(cores.size()) == ncores);
 
-  // CBs. Classic runs the Jacobi scalar/inter/out trio; the general path
-  // mirrors the SRAM-resident lowering (alias CBs are never pushed).
-  std::uint32_t wtab = 0;
-  bool needs_inter = false;
-  bool needs_post = false;
-  if (sh->classic) {
-    prog.create_cb(kCbScalar, cores, kTileBytes, 1);
-    prog.create_cb(kCbInter, cores, kTileBytes, 2);
-    prog.create_cb(kCbOut, cores, kTileBytes, 1);
-  } else {
-    for (std::size_t f = 0; f < sh->fields.size(); ++f) {
-      if (sh->fields[f].streamed) {
-        prog.create_cb(kCbFieldBase + static_cast<int>(f), cores, kTileBytes, 1);
-      }
+  // CBs mirror the SRAM-resident lowering (alias CBs are never pushed).
+  for (std::size_t f = 0; f < sh->fields.size(); ++f) {
+    if (sh->fields[f].streamed) {
+      prog.create_cb(kCbFieldBase + static_cast<int>(f), cores, kTileBytes, 1);
     }
-    prog.create_cb(kCbWgt, cores, kTileBytes, 1);
-    needs_inter = sh->pass.terms.size() > 1;
-    needs_post = sh->pass.post != PostOp::kNone;
-    if (needs_inter) prog.create_cb(kCbGInter, cores, kTileBytes, 2);
-    if (needs_inter || needs_post) prog.create_cb(kCbGTmp, cores, kTileBytes, 2);
-    if (needs_post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
-    prog.create_cb(kCbGOut, cores, kTileBytes, 1);
-    wtab = prog.l1_buffer_address(prog.create_l1_buffer(
-        cores, static_cast<std::uint32_t>(sh->weights.size()) * kTileBytes));
   }
+  prog.create_cb(kCbWgt, cores, kTileBytes, 1);
+  create_chain_cbs(prog, cores, ChainCbs(sh->pass));
+  prog.create_cb(kCbGOut, cores, kTileBytes, 1);
+  const std::uint32_t wtab = prog.l1_buffer_address(prog.create_l1_buffer(
+      cores, static_cast<std::uint32_t>(sh->weights.size()) * kTileBytes));
 
   const std::uint32_t slab_bytes = sh->nsr * sh->row_stride;
   for (auto& f : sh->fields) {
@@ -351,12 +285,8 @@ void build_temporal_kernels(ttmetal::Program& prog,
         const CoreRange rg = sh->ranges[static_cast<std::size_t>(pos)];
         const std::uint32_t width = sh->layout.width();
         const auto& wfld = sh->fields[static_cast<std::size_t>(sh->wf)];
-        if (sh->classic) {
-          fill_scalar_page(ctx, kCbScalar, 0.25f);
-        } else {
-          ctx.binary_op_init_common(kCbWgt, kCbFieldBase);
-          fill_weight_table(ctx, wtab, sh->weights);
-        }
+        ctx.binary_op_init_common(kCbWgt, kCbFieldBase);
+        fill_weight_table(ctx, wtab, sh->weights);
         std::vector<TapAddr> taps;
         for (int e = 0; e < E; ++e) {
           const int de = sh->depth_of(e);
@@ -383,38 +313,30 @@ void build_temporal_kernels(ttmetal::Program& prog,
               for (std::int64_t gr = lo; gr < hi; ++gr) {
                 const auto lr = static_cast<std::uint32_t>(gr - bk.glo);
                 for (std::uint32_t c0 = 0; c0 < width; c0 += sh->chunk) {
-                  if (sh->classic) {
-                    emit_classic_point(ctx, *sh, sh->src_slab(sh->wf, s), dst,
-                                       lr, c0);
-                  } else {
-                    const std::uint32_t valid = sh->chunk * 2;
-                    // Tap alias: field f's row gr+dr, elem c0+1+dc (elem 0
-                    // is the L boundary column).
-                    auto tap_at = [&](int f, int dr, int dc) {
-                      const auto lrt = static_cast<std::uint32_t>(
-                          gr + dr - bk.glo);
-                      return sh->row_data(sh->src_slab(f, s), lrt) +
-                             static_cast<std::uint32_t>(
-                                 static_cast<std::int64_t>(c0) * 2 + 2 +
-                                 2 * dc);
-                    };
-                    taps.clear();
-                    for (const auto& t : sh->pass.terms) {
-                      taps.push_back(TapAddr{kCbFieldBase + t.field,
-                                             tap_at(t.field, t.dr, t.dc),
-                                             valid, t.widx});
-                    }
-                    const TapAddr self{kCbFieldBase + sh->pass.self_field,
-                                       tap_at(sh->pass.self_field, 0, 0),
-                                       valid, 0};
-                    emit_tap_chain(ctx, wtab, taps, sh->pass.post, self,
-                                   [&](int reg) {
-                                     ctx.cb_set_wr_ptr(
-                                         kCbGOut,
-                                         sh->row_data(dst, lr) + (c0 + 1) * 2);
-                                     ctx.pack_tile(reg, kCbGOut);
-                                   });
+                  const std::uint32_t valid = sh->chunk * 2;
+                  // Tap alias: field f's row gr+dr, elem c0+1+dc (elem 0 is
+                  // the L boundary column).
+                  auto tap_at = [&](int f, int dr, int dc) {
+                    const auto lrt = static_cast<std::uint32_t>(gr + dr - bk.glo);
+                    return sh->row_data(sh->src_slab(f, s), lrt) +
+                           static_cast<std::uint32_t>(
+                               static_cast<std::int64_t>(c0) * 2 + 2 + 2 * dc);
+                  };
+                  taps.clear();
+                  for (const auto& t : sh->pass.terms) {
+                    taps.push_back(TapAddr{kCbFieldBase + t.field,
+                                           tap_at(t.field, t.dr, t.dc), valid,
+                                           t.widx});
                   }
+                  const TapAddr self{kCbFieldBase + sh->pass.self_field,
+                                     tap_at(sh->pass.self_field, 0, 0), valid, 0};
+                  // Interior col c0 = data elem c0+1; the pack's unused
+                  // lanes spill past the interior (clobbering R when
+                  // W < 1024 — restored between steps).
+                  emit_tap_chain(ctx, wtab, sh->pass, taps, self, [&](int reg) {
+                    ctx.cb_set_wr_ptr(kCbGOut, sh->row_data(dst, lr) + (c0 + 1) * 2);
+                    ctx.pack_tile(reg, kCbGOut);
+                  });
                   ctx.loop_tick();
                 }
               }
@@ -474,29 +396,6 @@ void build_temporal_kernels(ttmetal::Program& prog,
 
 }  // namespace
 
-void build_temporal_program(ttmetal::Program& prog,
-                            std::shared_ptr<KernelShared> base) {
-  TTSIM_CHECK_MSG(base->temporal_depth >= 1 && base->temporal_depth <= 8,
-                  "temporal_depth must be in [1, 8]");
-  auto sh = std::make_shared<TemporalShared>(base->layout);
-  sh->iterations = base->iterations;
-  sh->depth = base->temporal_depth;
-  sh->ranges = base->ranges;
-  sh->core_ids = base->workers();
-  sh->barrier_id = base->barrier_id;
-  sh->classic = true;
-  sh->v = 1;
-  sh->reach = 1;
-  TemporalField f;
-  f.fin = base->iterations % 2 == 1 ? base->d2 : base->d1;
-  f.oth = base->iterations % 2 == 1 ? base->d1 : base->d2;
-  f.written = true;
-  f.streamed = true;
-  sh->fields = {f};
-  sh->wf = 0;
-  build_temporal_kernels(prog, sh);
-}
-
 void build_general_temporal_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> base) {
   TTSIM_CHECK_MSG(base->passes.size() == 1,
@@ -509,7 +408,6 @@ void build_general_temporal_group(ttmetal::Program& prog,
   sh->ranges = base->ranges;
   sh->core_ids = base->workers();
   sh->barrier_id = base->barrier_id;
-  sh->classic = false;
   sh->pass = base->passes[0];
   sh->weights = base->weights;
   sh->wf = sh->pass.target;

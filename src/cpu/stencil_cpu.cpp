@@ -75,7 +75,7 @@ Halo<T> init_field(const core::GeneralStencilProblem& p, const core::FieldSpec& 
 
 /// One full run of the general program over halo grids of type T. The tap
 /// sum follows the contract exactly (terms in listed order, first product
-/// seeds the accumulator); in T = bfloat16_t every operation rounds as the
+/// seeds the accumulator, then the pass's scale when it is not 1); in T = bfloat16_t every operation rounds as the
 /// FPU does, making this the bit-exact device oracle.
 template <typename T>
 std::vector<std::vector<T>> run_general(const core::GeneralStencilProblem& p) {
@@ -100,6 +100,7 @@ std::vector<std::vector<T>> run_general(const core::GeneralStencilProblem& p) {
             acc = first ? prod : acc + prod;
             first = false;
           }
+          if (pass.scale != 1.0f) acc = T{pass.scale} * acc;
           if (pass.post == core::PostOp::kLife) {
             // Device order: birth mask, survive mask, survive*self, then
             // birth + survive*self. Exact in BF16 (small integers, 0/1).

@@ -2,14 +2,17 @@
 /// \file serve.hpp
 /// Asynchronous multi-tenant stencil serving on a pool of simulated cards.
 ///
-/// A StencilService accepts Jacobi solve requests from many tenants and runs
-/// them on N simulated Grayskull e150s. Three mechanisms buy throughput over
-/// serial blocking dispatch:
+/// A StencilService accepts stencil solve requests (the paper's Jacobi or
+/// any general radius-1 program) from many tenants and runs them on N
+/// simulated Grayskull e150s. Every request is a general stencil program
+/// from admission on — a Jacobi request becomes core::jacobi_program — so
+/// one session, dispatch, staging, readback and checkpoint path serves all
+/// of them. Three mechanisms buy throughput over serial blocking dispatch:
 ///
 ///   1. **Spatial batching** — up to max_batch same-shape requests launch as
-///      ONE program on disjoint core groups (jacobi_batch.hpp), paying the
-///      ~500 us program-dispatch cost once and running the solves in
-///      parallel across the grid.
+///      ONE program on disjoint core groups (build_batched_stencil_program),
+///      paying the ~500 us program-dispatch cost once and running the solves
+///      in parallel across the grid.
 ///   2. **Async overlap** — each card drives three command queues (writes,
 ///      programs, reads) ordered by events, so batch j+1's host->device
 ///      staging rides the PCIe bus while batch j's kernels occupy the cores
@@ -96,10 +99,10 @@ struct ShapeKey {
   int iterations = 0;
   std::uint32_t chunk_elems = 0;
   int read_ahead = 0;
-  /// transition_hash() of a general stencil program; 0 = classic Jacobi.
-  /// Structure (fields, passes, taps, weights) keys the compiled program;
-  /// boundary values and initial fields stay per-request data, so gallery
-  /// requests with different physics batch together like Jacobi ones do.
+  /// transition_hash() of the request's stencil program (a Jacobi request's
+  /// is jacobi_program's). Structure (fields, passes, taps, weights, scale)
+  /// keys the compiled program; boundary values and initial fields stay
+  /// per-request data, so requests with different physics batch together.
   std::uint64_t program = 0;
   /// Solver strategy the session's programs compile for (DeviceStrategy as
   /// int) and, for kTemporal, the chained depth. Both shape the compiled
@@ -112,13 +115,14 @@ struct ShapeKey {
 /// One tenant request: solve `problem` some time at or after `arrival`
 /// (simulated time on the service clock).
 struct Request {
+  /// The paper's Jacobi problem; submit() converts it to
+  /// core::jacobi_program(problem) unless `general` is set.
   core::JacobiProblem problem;
   /// General radius-1 stencil program (the workload gallery and beyond).
   /// When set, `problem` is ignored: geometry and iterations come from the
-  /// general problem, the session lowers through the general frontend, and
-  /// the delivered `solution` is the primary field's interior. With
-  /// checkpoint_every set, general solves segment exactly like Jacobi ones:
-  /// each segment seals one checkpoint per WRITTEN field (read-only fields
+  /// general problem, and the delivered `solution` is the primary field's
+  /// interior. With checkpoint_every set, solves run in segments: each
+  /// segment seals one checkpoint per WRITTEN field (read-only fields
   /// restage from the program spec), so a card fault only re-runs the lost
   /// segment and the resume is bit-exact on any card.
   std::optional<core::GeneralStencilProblem> general;
@@ -213,10 +217,9 @@ struct ServiceConfig {
   int max_retries = 1;
   /// Record per-request spans (admit/queue/h2d/kernel/d2h) in spans().
   bool record_spans = true;
-  /// Checkpoint period in sweeps: a solve (classic Jacobi or general) runs
-  /// as segments of at most this many iterations, each segment's result
-  /// sealed host-side as a migratable checkpoint (one per written field for
-  /// general programs). 0 (default) disables checkpointing — a card fault
+  /// Checkpoint period in sweeps: a solve runs as segments of at most this
+  /// many iterations, each segment's result sealed host-side as migratable
+  /// checkpoints (one per written field). 0 (default) disables checkpointing — a card fault
   /// restarts the solve from scratch, exactly the pre-resilience behavior.
   int checkpoint_every = 0;
   /// Health state machine knobs (degrade / quarantine / probe / readmit).
@@ -337,7 +340,7 @@ class StencilService {
   struct Pending;
 
   Session& session(Card& card, const ShapeKey& key,
-                   const core::GeneralStencilProblem* general);
+                   const core::GeneralStencilProblem& program);
   /// The shape of `p`'s NEXT segment (remaining sweeps, capped at
   /// checkpoint_every when checkpointing is on).
   ShapeKey effective_key(const Pending& p) const;

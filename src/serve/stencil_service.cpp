@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "ttsim/common/check.hpp"
-#include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/sharded.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/ttmetal/device.hpp"
@@ -62,14 +61,16 @@ std::uint64_t ServiceMetrics::total_completed() const {
 // Internal structures
 
 struct StencilService::Pending {
+  /// The admitted request; `req.general` is always set (a Jacobi request's
+  /// `problem` is converted to core::jacobi_program at submit).
   Request req;
   ShapeKey key;  ///< shape of the NEXT segment (tracks remaining sweeps)
   int iterations_done = 0;  ///< sweeps completed across prior segments
-  /// State after iterations_done sweeps: one checkpoint for classic Jacobi,
-  /// one per field for general programs (read-only fields stay empty — they
-  /// restage from the program spec). Sharded sessions seal the GLOBAL
-  /// padded image(s) here — the whole-domain numerical state, so the next
-  /// segment's group may be ANY set of cards.
+  /// State after iterations_done sweeps: one checkpoint per field
+  /// (read-only fields stay empty — they restage from the program spec).
+  /// Sharded sessions seal the GLOBAL padded image(s) here — the
+  /// whole-domain numerical state, so the next segment's group may be ANY
+  /// set of cards.
   std::vector<SessionCheckpoint> ckpt;
   int ckpt_card = -1;  ///< card that produced the checkpoint
   /// Sharded multi-card sessions: cards this request's slabs must spread
@@ -86,15 +87,14 @@ struct StencilService::Session {
   core::PaddedLayout layout;
   /// groups[g] = the physical workers serving batch slot g.
   std::vector<std::vector<int>> groups;
-  /// banks[bank][g] = {d1, d2} grid buffers for slot g. Two banks so batch
-  /// j+1's H2D staging can overlap batch j's kernels without a hazard.
-  std::array<std::vector<std::array<std::shared_ptr<ttmetal::Buffer>, 2>>, 2> banks;
-  /// General-frontend sessions only: the program structure the key's hash
-  /// pins (the first request's problem; same hash = same lowering), and
-  /// per-field double-banked buffers — gbanks[bank][g][f] is field f's d1,
-  /// gbanks[bank][g][nfields+f] its d2 (null for read-only fields).
-  std::optional<core::GeneralStencilProblem> general;
-  std::array<std::vector<std::vector<std::shared_ptr<ttmetal::Buffer>>>, 2> gbanks;
+  /// The program structure the key's hash pins (the first request's
+  /// problem; same hash = same lowering).
+  core::GeneralStencilProblem program;
+  /// Per-field double-banked buffers: banks[bank][g][f] is slot g's field f
+  /// d1, banks[bank][g][nfields+f] its d2 (null for read-only fields). Two
+  /// banks so batch j+1's H2D staging can overlap batch j's kernels without
+  /// a hazard.
+  std::array<std::vector<std::vector<std::shared_ptr<ttmetal::Buffer>>>, 2> banks;
   /// Compiled batch programs, keyed by (bank, batch width B). Programs are
   /// reusable across launches, so each (bank, B) compiles once.
   std::map<std::pair<int, int>, std::unique_ptr<ttmetal::Program>> programs;
@@ -108,8 +108,8 @@ struct StencilService::InFlight {
   SimTime dispatched = 0;
   ttmetal::Event write_done, kernel_done, read_done;
   /// Read destinations, per member: one image for a finishing member (the
-  /// delivered field) or, for a continuing general member, one per written
-  /// field in field order (the next segment's checkpoints).
+  /// delivered field) or, for a continuing member, one per written field in
+  /// field order (the next segment's checkpoints).
   std::vector<std::vector<std::vector<bfloat16_t>>> outputs;
   std::vector<std::uint8_t> continues;  ///< per member: more segments left
 };
@@ -226,24 +226,14 @@ void StencilService::record_span(sim::TraceEventKind kind, SimTime ts, SimTime d
 
 ShapeKey StencilService::effective_key(const Pending& p) const {
   ShapeKey key;
-  if (p.req.general) {
-    key.width = p.req.general->width;
-    key.height = p.req.general->height;
-    int remaining = p.req.general->iterations - p.iterations_done;
-    if (cfg_.checkpoint_every > 0) {
-      remaining = std::min(remaining, cfg_.checkpoint_every);
-    }
-    key.iterations = remaining;
-    key.program = p.req.general->transition_hash();
-  } else {
-    key.width = p.req.problem.width;
-    key.height = p.req.problem.height;
-    int remaining = p.req.problem.iterations - p.iterations_done;
-    if (cfg_.checkpoint_every > 0) {
-      remaining = std::min(remaining, cfg_.checkpoint_every);
-    }
-    key.iterations = remaining;
+  const core::GeneralStencilProblem& g = *p.req.general;
+  key.width = g.width;
+  key.height = g.height;
+  key.iterations = g.iterations - p.iterations_done;
+  if (cfg_.checkpoint_every > 0) {
+    key.iterations = std::min(key.iterations, cfg_.checkpoint_every);
   }
+  key.program = g.transition_hash();
   key.chunk_elems = cfg_.run.chunk_elems;
   key.read_ahead = cfg_.run.read_ahead;
   const auto strat = p.req.strategy.value_or(cfg_.run.strategy);
@@ -284,8 +274,7 @@ SimTime StencilService::estimate_completion(const Request& request) const {
   // the batch on the fastest family member, so rejecting against a slower
   // card's cost would turn admission pessimistic on exactly the requests a
   // mixed pool exists to serve.
-  const std::uint64_t prog =
-      request.general ? request.general->transition_hash() : 0;
+  const std::uint64_t prog = request.general->transition_hash();
   auto cheapest = [&](std::uint64_t program) -> SimTime {
     SimTime best = 0;
     for (const auto& [key, e] : ewma_batch_) {
@@ -309,8 +298,7 @@ SimTime StencilService::estimate_completion(const Request& request) const {
   }
   SimTime segments = 1;
   if (cfg_.checkpoint_every > 0) {
-    const int total = request.general ? request.general->iterations
-                                      : request.problem.iterations;
+    const int total = request.general->iterations;
     segments = (total + cfg_.checkpoint_every - 1) / cfg_.checkpoint_every;
   }
   return std::max(service_now_, request.arrival) +
@@ -346,7 +334,10 @@ SimTime StencilService::backpressure_hint() const {
   return std::max<SimTime>(queued / static_cast<SimTime>(slots), kMicrosecond);
 }
 
-Ticket StencilService::submit(const Request& request) {
+Ticket StencilService::submit(const Request& submitted) {
+  // One stencil stack: a Jacobi request is its general program from here on.
+  Request request = submitted;
+  if (!request.general) request.general = core::jacobi_program(request.problem);
   service_now_ = std::max(service_now_, request.arrival);
   Ticket ticket;
   ticket.id = next_ticket_++;
@@ -365,11 +356,7 @@ Ticket StencilService::submit(const Request& request) {
     core::DeviceRunConfig vrun = cfg_.run;
     if (request.strategy) vrun.strategy = *request.strategy;
     if (request.temporal_depth > 0) vrun.temporal_depth = request.temporal_depth;
-    if (request.general) {
-      core::validate_stencil_request(*request.general, vrun);
-    } else {
-      core::validate_batch_request(request.problem, vrun);
-    }
+    core::validate_stencil_request(*request.general, vrun);
   } catch (const ApiError& e) {
     invalid = e.what();
   } catch (const CheckError& e) {
@@ -391,18 +378,14 @@ Ticket StencilService::submit(const Request& request) {
   // only when no group fits does the request fail.
   int shard_n = 0;
   {
-    const std::uint32_t w =
-        request.general ? request.general->width : request.problem.width;
-    const std::uint32_t h =
-        request.general ? request.general->height : request.problem.height;
-    // Grid images a session must hold per slot: both parities of the solve
-    // grid, or per general field one image plus a second for written fields.
-    std::uint64_t grids = 2;
-    if (request.general) {
-      grids = 0;
-      for (int f = 0; f < static_cast<int>(request.general->fields.size()); ++f)
-        grids += request.general->written_pass(f) >= 0 ? 2 : 1;
-    }
+    const core::GeneralStencilProblem& g = *request.general;
+    const std::uint32_t w = g.width;
+    const std::uint32_t h = g.height;
+    // Grid images a session must hold per slot: per field one image plus a
+    // second for written fields.
+    std::uint64_t grids = 0;
+    for (int f = 0; f < static_cast<int>(g.fields.size()); ++f)
+      grids += g.written_pass(f) >= 0 ? 2 : 1;
     std::uint64_t max_budget = 0;
     std::uint64_t min_budget = 0;
     int pool = 0;
@@ -424,7 +407,7 @@ Ticket StencilService::submit(const Request& request) {
       const bool shardable =
           (strat == core::DeviceStrategy::kRowChunk ||
            strat == core::DeviceStrategy::kTemporal) &&
-          (!request.general || request.general->passes.size() == 1);
+          g.passes.size() == 1;
       std::string why;
       if (!shardable) {
         why = "shape exceeds one card's DRAM and the program cannot shard "
@@ -523,7 +506,7 @@ Ticket StencilService::submit(const Request& request) {
               tenant_track(request.tenant), ticket.id);
   results_.emplace(ticket.id, std::move(r));
   Pending p;
-  p.req = request;
+  p.req = std::move(request);
   p.key = effective_key(p);
   p.shard_cards = shard_n;
   requests_.emplace(ticket.id, std::move(p));
@@ -571,7 +554,7 @@ std::vector<verify::Finding> StencilService::verify_findings() const {
 }
 
 StencilService::Session& StencilService::session(
-    Card& card, const ShapeKey& key, const core::GeneralStencilProblem* general) {
+    Card& card, const ShapeKey& key, const core::GeneralStencilProblem& program) {
   auto it = card.sessions.find(key);
   if (it != card.sessions.end()) {
     ++metrics_.session_cache_hits;
@@ -594,50 +577,31 @@ StencilService::Session& StencilService::session(
   shape.height = key.height;
   shape.iterations = key.iterations;
   const ttmetal::BufferConfig base = core::batch_grid_buffer_config(cfg_.run, shape);
-  if (general != nullptr) {
-    TTSIM_CHECK_MSG(key.program == general->transition_hash(),
-                    "session key does not match the general program");
-    s->general = *general;
-    const int nf = static_cast<int>(general->fields.size());
-    for (int bank = 0; bank < 2; ++bank) {
-      auto& vec = s->gbanks[static_cast<std::size_t>(bank)];
-      for (int g = 0; g < groups; ++g) {
-        std::vector<std::shared_ptr<ttmetal::Buffer>> bufs(
-            static_cast<std::size_t>(2 * nf));
-        for (int f = 0; f < nf; ++f) {
-          for (int half = 0; half < 2; ++half) {
-            // Read-only fields never flip parity: one grid is enough.
-            if (half == 1 && general->written_pass(f) < 0) continue;
-            ttmetal::BufferConfig bc = base;
-            std::ostringstream name;
-            name << "serve-c" << card.index << '-' << key.width << 'x'
-                 << key.height << "-i" << key.iterations << "-p" << std::hex
-                 << key.program << std::dec << "-bank" << bank << "-slot" << g
-                 << "-f" << f << "-d" << (half + 1);
-            bc.name = name.str();
-            bufs[static_cast<std::size_t>(half * nf + f)] =
-                card.device->create_buffer(bc);
-          }
-        }
-        vec.push_back(std::move(bufs));
-      }
-    }
-  } else {
-    for (int bank = 0; bank < 2; ++bank) {
-      auto& vec = s->banks[static_cast<std::size_t>(bank)];
-      for (int g = 0; g < groups; ++g) {
-        std::array<std::shared_ptr<ttmetal::Buffer>, 2> pair;
+  TTSIM_CHECK_MSG(key.program == program.transition_hash(),
+                  "session key does not match the program");
+  s->program = program;
+  const int nf = static_cast<int>(program.fields.size());
+  for (int bank = 0; bank < 2; ++bank) {
+    auto& vec = s->banks[static_cast<std::size_t>(bank)];
+    for (int g = 0; g < groups; ++g) {
+      std::vector<std::shared_ptr<ttmetal::Buffer>> bufs(
+          static_cast<std::size_t>(2 * nf));
+      for (int f = 0; f < nf; ++f) {
         for (int half = 0; half < 2; ++half) {
+          // Read-only fields never flip parity: one grid is enough.
+          if (half == 1 && program.written_pass(f) < 0) continue;
           ttmetal::BufferConfig bc = base;
           std::ostringstream name;
-          name << "serve-c" << card.index << '-' << key.width << 'x' << key.height
-               << "-i" << key.iterations << "-bank" << bank << "-slot" << g << "-d"
-               << (half + 1);
+          name << "serve-c" << card.index << '-' << key.width << 'x'
+               << key.height << "-i" << key.iterations << "-p" << std::hex
+               << key.program << std::dec << "-bank" << bank << "-slot" << g
+               << "-f" << f << "-d" << (half + 1);
           bc.name = name.str();
-          pair[static_cast<std::size_t>(half)] = card.device->create_buffer(bc);
+          bufs[static_cast<std::size_t>(half * nf + f)] =
+              card.device->create_buffer(bc);
         }
-        vec.push_back(std::move(pair));
       }
+      vec.push_back(std::move(bufs));
     }
   }
   auto& ref = *s;
@@ -743,8 +707,7 @@ bool StencilService::dispatch_on(Card& card) {
   }
 
   const Pending& head_req = requests_.at(head);
-  Session& s = session(card, key,
-                       head_req.req.general ? &*head_req.req.general : nullptr);
+  Session& s = session(card, key, *head_req.req.general);
   const int max_slots =
       std::min(static_cast<int>(s.groups.size()), cfg_.max_batch);
 
@@ -783,40 +746,24 @@ bool StencilService::dispatch_on(Card& card) {
   auto pit = s.programs.find(pkey);
   if (pit == s.programs.end()) {
     auto prog = std::make_unique<ttmetal::Program>();
-    if (s.general) {
-      const int nf = static_cast<int>(s.general->fields.size());
-      std::vector<core::GeneralBatchSlot> slots(static_cast<std::size_t>(b));
-      for (int g = 0; g < b; ++g) {
-        auto& slot = slots[static_cast<std::size_t>(g)];
-        const auto& bufs =
-            s.gbanks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-        for (int f = 0; f < nf; ++f) {
-          slot.d1.push_back(bufs[static_cast<std::size_t>(f)]->address());
-          const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
-          slot.d2.push_back(d2 ? d2->address() : 0);
-        }
-        slot.core_ids = s.groups[static_cast<std::size_t>(g)];
+    const int nf = static_cast<int>(s.program.fields.size());
+    std::vector<core::GeneralBatchSlot> slots(static_cast<std::size_t>(b));
+    for (int g = 0; g < b; ++g) {
+      auto& slot = slots[static_cast<std::size_t>(g)];
+      const auto& bufs =
+          s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
+      for (int f = 0; f < nf; ++f) {
+        slot.d1.push_back(bufs[static_cast<std::size_t>(f)]->address());
+        const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
+        slot.d2.push_back(d2 ? d2->address() : 0);
       }
-      // The session pins the program STRUCTURE; this launch runs the key's
-      // segment length (checkpointed solves dispatch shorter tails).
-      core::GeneralStencilProblem gshape = *s.general;
-      gshape.iterations = key.iterations;
-      core::build_batched_stencil_program(*prog, gshape, run_for(key), slots);
-    } else {
-      std::vector<core::BatchSlot> slots(static_cast<std::size_t>(b));
-      for (int g = 0; g < b; ++g) {
-        auto& slot = slots[static_cast<std::size_t>(g)];
-        const auto& pair = s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-        slot.d1 = pair[0]->address();
-        slot.d2 = pair[1]->address();
-        slot.core_ids = s.groups[static_cast<std::size_t>(g)];
-      }
-      core::JacobiProblem shape;
-      shape.width = key.width;
-      shape.height = key.height;
-      shape.iterations = key.iterations;
-      core::build_batched_rowchunk_program(*prog, shape, run_for(key), slots);
+      slot.core_ids = s.groups[static_cast<std::size_t>(g)];
     }
+    // The session pins the program STRUCTURE; this launch runs the key's
+    // segment length (checkpointed solves dispatch shorter tails).
+    core::GeneralStencilProblem gshape = s.program;
+    gshape.iterations = key.iterations;
+    core::build_batched_stencil_program(*prog, gshape, run_for(key), slots);
     pit = s.programs.emplace(pkey, std::move(prog)).first;
   }
 
@@ -836,65 +783,41 @@ bool StencilService::dispatch_on(Card& card) {
   for (int g = 0; g < b; ++g) {
     Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
     auto& rr = results_.at(batch[static_cast<std::size_t>(g)]);
-    if (s.general) {
-      // Per-field staging: every field's padded image from THIS request's
-      // physics (boundary constants / initial fields are per-request data;
-      // the session only pins the program structure). Written fields stage
-      // both parities so the first pass reads a defined halo everywhere.
-      const auto& bufs =
-          s.gbanks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-      const int nf = static_cast<int>(p.req.general->fields.size());
-      for (int f = 0; f < nf; ++f) {
-        const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
-        if (p.iterations_done > 0 && d2) {
-          // Resume a written field from its sealed checkpoint — the exact
-          // padded image after iterations_done sweeps — staged to both
-          // parities exactly like a fresh start stages the initial image,
-          // so the remaining sweeps continue the solve bit-exactly.
-          const auto& image = p.ckpt[static_cast<std::size_t>(f)].image();
-          TTSIM_CHECK_MSG(image.size() == s.layout.elems(),
-                          "checkpoint image does not match the session layout");
-          const auto bytes = std::as_bytes(std::span{image});
-          cq_write.enqueue_write_buffer(*bufs[static_cast<std::size_t>(f)], bytes,
-                                        /*blocking=*/false);
-          cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
-          continue;
-        }
-        // Fresh start, or a read-only field (never flips parity: its image
-        // restages from the program spec on every segment).
-        const auto image = core::general_field_image(s.layout, *p.req.general, f);
+    // Per-field staging: every field's padded image from THIS request's
+    // physics (boundary constants / initial fields are per-request data;
+    // the session only pins the program structure). Written fields stage
+    // both parities so the first pass reads a defined halo everywhere.
+    const auto& bufs =
+        s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
+    const int nf = static_cast<int>(p.req.general->fields.size());
+    for (int f = 0; f < nf; ++f) {
+      const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
+      if (p.iterations_done > 0 && d2) {
+        // Resume a written field from its CRC-verified checkpoint — the
+        // exact padded image after iterations_done sweeps — staged to both
+        // parities exactly like a fresh start stages the initial image, so
+        // the remaining sweeps continue the solve bit-exactly, on whichever
+        // card this is.
+        const auto& image = p.ckpt[static_cast<std::size_t>(f)].image();
+        TTSIM_CHECK_MSG(image.size() == s.layout.elems(),
+                        "checkpoint image does not match the session layout");
         const auto bytes = std::as_bytes(std::span{image});
         cq_write.enqueue_write_buffer(*bufs[static_cast<std::size_t>(f)], bytes,
                                       /*blocking=*/false);
-        if (d2) cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
+        cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
+        continue;
       }
-      if (p.iterations_done > 0 && p.ckpt_card != card.index) {
-        ++metrics_.migrations;
-        ++rr.migrations;
-      }
-      continue;
+      // Fresh start, or a read-only field (never flips parity: its image
+      // restages from the program spec on every segment).
+      const auto image = core::general_field_image(s.layout, *p.req.general, f);
+      const auto bytes = std::as_bytes(std::span{image});
+      cq_write.enqueue_write_buffer(*bufs[static_cast<std::size_t>(f)], bytes,
+                                    /*blocking=*/false);
+      if (d2) cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
     }
-    const auto& pair = s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-    if (p.iterations_done == 0) {
-      // First segment: the initial image from the request's physics.
-      const auto image = s.layout.initial_image(p.req.problem);
-      const auto bytes = std::as_bytes(std::span{image});
-      cq_write.enqueue_write_buffer(*pair[0], bytes, /*blocking=*/false);
-      cq_write.enqueue_write_buffer(*pair[1], bytes, /*blocking=*/false);
-    } else {
-      // Resume: upload the CRC-verified checkpoint — the exact padded
-      // device image after iterations_done sweeps — so the segment
-      // continues the solve bit-exactly, on whichever card this is.
-      const auto& image = p.ckpt.front().image();
-      TTSIM_CHECK_MSG(image.size() == s.layout.elems(),
-                      "checkpoint image does not match the session layout");
-      const auto bytes = std::as_bytes(std::span{image});
-      cq_write.enqueue_write_buffer(*pair[0], bytes, /*blocking=*/false);
-      cq_write.enqueue_write_buffer(*pair[1], bytes, /*blocking=*/false);
-      if (p.ckpt_card != card.index) {
-        ++metrics_.migrations;
-        ++rr.migrations;
-      }
+    if (p.iterations_done > 0 && p.ckpt_card != card.index) {
+      ++metrics_.migrations;
+      ++rr.migrations;
     }
   }
   fl.write_done = cq_write.record_event();
@@ -907,47 +830,37 @@ bool StencilService::dispatch_on(Card& card) {
   const bool odd = key.iterations % 2 == 1;
   for (int g = 0; g < b; ++g) {
     const Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
-    const int total = p.req.general ? p.req.general->iterations
-                                    : p.req.problem.iterations;
-    const bool cont = p.iterations_done + key.iterations < total;
+    const bool cont = p.iterations_done + key.iterations < p.req.general->iterations;
     fl.continues[static_cast<std::size_t>(g)] = cont ? 1 : 0;
     auto& outs = fl.outputs[static_cast<std::size_t>(g)];
-    if (s.general) {
-      const int nf = static_cast<int>(s.general->fields.size());
-      const auto& bufs =
-          s.gbanks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-      if (cont) {
-        // Mid-solve segment: read back EVERY written field at the segment's
-        // final parity — together they are the whole numerical state, the
-        // next segment's per-field checkpoints. (Pre-size so the async
-        // reads' destinations never reallocate.)
-        int nw = 0;
-        for (int f = 0; f < nf; ++f)
-          if (s.general->written_pass(f) >= 0) ++nw;
-        outs.assign(static_cast<std::size_t>(nw),
-                    std::vector<bfloat16_t>(s.layout.elems()));
-        std::size_t j = 0;
-        for (int f = 0; f < nf; ++f) {
-          if (s.general->written_pass(f) < 0) continue;
-          cq_read.enqueue_read_buffer(
-              *bufs[static_cast<std::size_t>(odd ? nf + f : f)],
-              std::as_writable_bytes(std::span{outs[j]}), /*blocking=*/false);
-          ++j;
-        }
-        continue;
+    const int nf = static_cast<int>(s.program.fields.size());
+    const auto& bufs =
+        s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
+    if (cont) {
+      // Mid-solve segment: read back EVERY written field at the segment's
+      // final parity — together they are the whole numerical state, the
+      // next segment's per-field checkpoints. (Pre-size so the async reads'
+      // destinations never reallocate.)
+      int nw = 0;
+      for (int f = 0; f < nf; ++f)
+        if (s.program.written_pass(f) >= 0) ++nw;
+      outs.assign(static_cast<std::size_t>(nw),
+                  std::vector<bfloat16_t>(s.layout.elems()));
+      std::size_t j = 0;
+      for (int f = 0; f < nf; ++f) {
+        if (s.program.written_pass(f) < 0) continue;
+        cq_read.enqueue_read_buffer(
+            *bufs[static_cast<std::size_t>(odd ? nf + f : f)],
+            std::as_writable_bytes(std::span{outs[j]}), /*blocking=*/false);
+        ++j;
       }
-      // Deliver the primary field (the last pass's target, always written:
-      // its final parity follows the iteration count).
-      const int pf = s.general->primary_field();
-      outs.assign(1, std::vector<bfloat16_t>(s.layout.elems()));
-      cq_read.enqueue_read_buffer(*bufs[static_cast<std::size_t>(odd ? nf + pf : pf)],
-                                  std::as_writable_bytes(std::span{outs.front()}),
-                                  /*blocking=*/false);
       continue;
     }
+    // Deliver the primary field (the last pass's target, always written:
+    // its final parity follows the iteration count).
+    const int pf = s.program.primary_field();
     outs.assign(1, std::vector<bfloat16_t>(s.layout.elems()));
-    const auto& pair = s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-    cq_read.enqueue_read_buffer(*pair[odd ? 1 : 0],
+    cq_read.enqueue_read_buffer(*bufs[static_cast<std::size_t>(odd ? nf + pf : pf)],
                                 std::as_writable_bytes(std::span{outs.front()}),
                                 /*blocking=*/false);
   }
@@ -1065,32 +978,23 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     ++rr.migrations;
   }
 
-  const int total =
-      p.req.general ? p.req.general->iterations : p.req.problem.iterations;
+  const int total = p.req.general->iterations;
   try {
-    core::ShardedRunResult res;
-    std::vector<bfloat16_t> jstate;
+    core::GeneralStencilProblem gp = *p.req.general;
+    gp.iterations = key.iterations;
     std::vector<std::vector<bfloat16_t>> gstate;
-    if (p.req.general) {
-      core::GeneralStencilProblem gp = *p.req.general;
-      gp.iterations = key.iterations;
-      if (p.iterations_done > 0) {
-        const core::PaddedLayout global(gp.width, gp.height);
-        for (int f = 0; f < static_cast<int>(gp.fields.size()); ++f) {
-          // Written fields resume from their sealed checkpoints; read-only
-          // fields never change, so their images restage from the spec.
-          gstate.push_back(gp.written_pass(f) >= 0
-                               ? p.ckpt[static_cast<std::size_t>(f)].image()
-                               : core::general_field_image(global, gp, f));
-        }
+    if (p.iterations_done > 0) {
+      const core::PaddedLayout global(gp.width, gp.height);
+      for (int f = 0; f < static_cast<int>(gp.fields.size()); ++f) {
+        // Written fields resume from their sealed checkpoints; read-only
+        // fields never change, so their images restage from the spec.
+        gstate.push_back(gp.written_pass(f) >= 0
+                             ? p.ckpt[static_cast<std::size_t>(f)].image()
+                             : core::general_field_image(global, gp, f));
       }
-      res = core::run_general_sharded(devs, fabric, gp, scfg, &gstate);
-    } else {
-      core::JacobiProblem jp = p.req.problem;
-      jp.iterations = key.iterations;
-      if (p.iterations_done > 0) jstate = p.ckpt.front().image();
-      res = core::run_jacobi_sharded(devs, fabric, jp, scfg, &jstate);
     }
+    core::ShardedRunResult res =
+        core::run_general_sharded(devs, fabric, gp, scfg, &gstate);
 
     SimTime end = t0;
     for (ttmetal::Device* d : devs) end = std::max(end, d->now());
@@ -1107,19 +1011,12 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     if (p.iterations_done < total) {
       // Seal the whole-domain state — one global padded image per written
       // field — so the next segment may run on ANY group of idle cards.
-      if (p.req.general) {
-        const int nf = static_cast<int>(p.req.general->fields.size());
-        p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
-        for (int f = 0; f < nf; ++f) {
-          if (p.req.general->written_pass(f) < 0) continue;
-          p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
-              std::move(gstate[static_cast<std::size_t>(f)]),
-              p.iterations_done, end);
-        }
-      } else {
-        p.ckpt.assign(1, SessionCheckpoint{});
-        p.ckpt.front() = SessionCheckpoint::capture(std::move(jstate),
-                                                    p.iterations_done, end);
+      const int nf = static_cast<int>(gp.fields.size());
+      p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
+      for (int f = 0; f < nf; ++f) {
+        if (gp.written_pass(f) < 0) continue;
+        p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
+            std::move(gstate[static_cast<std::size_t>(f)]), p.iterations_done, end);
       }
       p.ckpt_card = gids.front();
       p.key = effective_key(p);
@@ -1241,25 +1138,18 @@ void StencilService::harvest_one(Card& card) {
     auto& r = results_.at(id);
     p.iterations_done += fl.key.iterations;
     if (fl.continues[static_cast<std::size_t>(g)] != 0) {
-      // Mid-solve segment: seal the readback — the full padded device image,
-      // one per written field for general programs — as this request's
-      // checkpoint and requeue the remainder. The next segment may land on
-      // any card (migration).
+      // Mid-solve segment: seal the readback — the full padded device image
+      // of every written field — as this request's checkpoints and requeue
+      // the remainder. The next segment may land on any card (migration).
       auto& imgs = fl.outputs[static_cast<std::size_t>(g)];
-      if (p.req.general) {
-        const int nf = static_cast<int>(p.req.general->fields.size());
-        p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
-        std::size_t j = 0;
-        for (int f = 0; f < nf; ++f) {
-          if (p.req.general->written_pass(f) < 0) continue;
-          p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
-              std::move(imgs[j]), p.iterations_done, d2h_end);
-          ++j;
-        }
-      } else {
-        p.ckpt.assign(1, SessionCheckpoint{});
-        p.ckpt.front() = SessionCheckpoint::capture(
-            std::move(imgs.front()), p.iterations_done, d2h_end);
+      const int nf = static_cast<int>(p.req.general->fields.size());
+      p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
+      std::size_t j = 0;
+      for (int f = 0; f < nf; ++f) {
+        if (p.req.general->written_pass(f) < 0) continue;
+        p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
+            std::move(imgs[j]), p.iterations_done, d2h_end);
+        ++j;
       }
       p.ckpt_card = card.index;
       p.key = effective_key(p);

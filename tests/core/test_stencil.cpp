@@ -11,7 +11,10 @@
 
 #include <cmath>
 
+#include "ttsim/core/gallery.hpp"
+#include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
+#include "ttsim/sim/fault.hpp"
 
 namespace ttsim::core {
 namespace {
@@ -187,6 +190,53 @@ TEST(StencilCpu, F32AndBf16AgreeWithinRounding) {
   // comparing BF16 device results against the FP32 CPU.
   for (std::size_t i = 0; i < f.size(); ++i) {
     EXPECT_NEAR(f[i], static_cast<float>(b[i]), 0.05f);
+  }
+}
+
+TEST(Stencil, KilledCoresDegradeGalleryRunOntoSurvivors) {
+  // A 4-worker card with one dead core: the requested 1x4 grid shrinks
+  // onto the three survivors (Y first) and the answer stays bit-exact.
+  sim::GrayskullSpec spec;
+  spec.worker_cores = 4;
+  sim::FaultConfig fc;
+  fc.core_kills = {{.core = 1, .at = 0}};
+  ttmetal::DeviceConfig dc;
+  dc.fault_plan = std::make_shared<sim::FaultPlan>(fc);
+  auto dev = ttmetal::Device::open(spec, dc);
+  const auto p = gallery::hotspot(64, 24, 3);
+  DeviceRunConfig cfg;
+  cfg.cores_y = 4;
+  cfg.verify = true;
+  const auto r = run_general_stencil_on_device(*dev, p, cfg);
+  EXPECT_EQ(r.cores_used, 3);
+  EXPECT_TRUE(r.verified_ok);
+}
+
+TEST(Stencil, JacobiAtTheBf16RangeEdgesIsBitExactOnEveryStrategy) {
+  // Subnormal boundary values (a few units in the last place) and a
+  // near-maximum boundary whose sums overflow: the device's sum-then-scale
+  // chain must round exactly like the Jacobi reference.
+  JacobiProblem p;
+  p.width = 64;
+  p.height = 16;
+  p.iterations = 6;
+  p.bc_right = 4.6e-40f;
+  p.bc_top = 2.8e-40f;
+  p.bc_bottom = 0.0f;
+  for (const float left : {9.2e-41f, 3.3e38f}) {
+    p.bc_left = left;
+    p.initial = left > 1.0f ? 3.3e38f : 1.8e-40f;
+    for (const DeviceStrategy s : {DeviceStrategy::kRowChunk,
+                                   DeviceStrategy::kSramResident,
+                                   DeviceStrategy::kTemporal}) {
+      DeviceRunConfig cfg;
+      cfg.strategy = s;
+      cfg.cores_y = 2;
+      cfg.temporal_depth = 3;
+      cfg.verify = true;
+      EXPECT_TRUE(run_jacobi_on_device(p, cfg).verified_ok)
+          << to_string(s) << " bc_left " << left;
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 /// Unit tests for the general-stencil CPU references: boundary handling
 /// (including the zero halo corners of the tap-order contract), BF16
 /// tap-order rounding, multi-pass visibility, the Life post-op, and the
-/// multi-field FDTD gallery workload.
+/// multi-field FDTD gallery workload, and the exactness of jacobi_program.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "ttsim/bfloat/bfloat16.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/stencil_spec.hpp"
+#include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
 
 namespace ttsim {
@@ -230,6 +231,96 @@ TEST(StencilCpu, ToGeneralMatchesLegacyReference) {
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(general[0][i].bits(), legacy[i].bits()) << "elem " << i;
   }
+}
+
+/// Jacobi problems seeded at the edges of BF16's range. Subnormals: values
+/// of a few units in the last place below the smallest normal (~1.18e-38),
+/// where 0.25*x rounds away bits a sum of four keeps. Near-maximum: values
+/// around 3.3e38 (max ~3.39e38) whose pairwise sums overflow to infinity.
+core::JacobiProblem subnormal_jacobi(int iterations) {
+  core::JacobiProblem p;
+  p.width = 32;
+  p.height = 16;
+  p.iterations = iterations;
+  p.bc_left = 9.2e-41f;   // 1 ulp
+  p.bc_right = 4.6e-40f;  // 5 ulp
+  p.bc_top = 2.8e-40f;    // 3 ulp
+  p.bc_bottom = 0.0f;
+  p.initial = 1.8e-40f;   // 2 ulp
+  return p;
+}
+
+core::JacobiProblem near_max_jacobi(int iterations) {
+  core::JacobiProblem p = subnormal_jacobi(iterations);
+  p.bc_left = 3.3e38f;
+  p.initial = 3.3e38f;
+  return p;
+}
+
+/// jacobi_program states Listing 1 exactly: sum the four neighbours, then
+/// scale once. Its general reference must reproduce the dedicated Jacobi
+/// reference bit for bit — ordinary values and the BF16 range edges alike.
+TEST(StencilCpu, JacobiProgramMatchesJacobiReferenceBitExact) {
+  // The seeds really sit at the range edges.
+  EXPECT_EQ(std::fpclassify(static_cast<float>(bfloat16_t{9.2e-41f})), FP_SUBNORMAL);
+  EXPECT_EQ(std::fpclassify(static_cast<float>(bfloat16_t{4.6e-40f})), FP_SUBNORMAL);
+  EXPECT_TRUE(std::isinf(static_cast<float>(bfloat16_t{3.3e38f} + bfloat16_t{3.3e38f})));
+
+  core::JacobiProblem ordinary;
+  ordinary.width = 48;
+  ordinary.height = 20;
+  ordinary.iterations = 9;
+  ordinary.initial = 0.3f;
+  for (const core::JacobiProblem& p :
+       {ordinary, subnormal_jacobi(1), subnormal_jacobi(12), near_max_jacobi(1),
+        near_max_jacobi(12)}) {
+    const auto classic = cpu::jacobi_reference_bf16(p);
+    const auto general = cpu::general_reference_bf16(core::jacobi_program(p));
+    ASSERT_EQ(general.size(), 1u);
+    ASSERT_EQ(general[0].size(), classic.size());
+    for (std::size_t i = 0; i < classic.size(); ++i) {
+      ASSERT_EQ(general[0][i].bits(), classic[i].bits())
+          << "elem " << i << " after " << p.iterations << " iterations";
+    }
+  }
+}
+
+/// ...and it is the scale that makes it exact: four 0.25-weighted products
+/// round differently from one scale once the values leave the normal range.
+TEST(StencilCpu, QuarterWeightsDivergeAtTheRangeEdges) {
+  for (const core::JacobiProblem& p : {subnormal_jacobi(1), near_max_jacobi(1)}) {
+    core::StencilProblem weighted;
+    weighted.width = p.width;
+    weighted.height = p.height;
+    weighted.iterations = p.iterations;
+    weighted.stencil = core::WeightedStencil::jacobi();
+    weighted.bc_left = p.bc_left;
+    weighted.bc_right = p.bc_right;
+    weighted.bc_top = p.bc_top;
+    weighted.bc_bottom = p.bc_bottom;
+    weighted.initial = p.initial;
+    const auto classic = cpu::jacobi_reference_bf16(p);
+    const auto products = cpu::general_reference_bf16(core::to_general(weighted));
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < classic.size(); ++i) {
+      if (products[0][i].bits() != classic[i].bits()) ++differing;
+    }
+    EXPECT_GT(differing, 0u) << "initial " << p.initial;
+  }
+}
+
+/// A scale of 1 is skipped and a scale is hashed only when it does
+/// something: unscaled programs keep their transition hashes.
+TEST(StencilCpu, PassScaleMultipliesTheSumOnce) {
+  auto g = identity_problem(16, 4);
+  g.fields[0].initial = 0.75f;
+  const auto unscaled_hash = g.transition_hash();
+  g.passes[0].scale = 1.0f;
+  EXPECT_EQ(g.transition_hash(), unscaled_hash);
+  g.passes[0].scale = 0.5f;
+  EXPECT_NE(g.transition_hash(), unscaled_hash);
+  const auto r = cpu::general_reference_bf16(g);
+  for (const auto& v : r[0]) EXPECT_EQ(static_cast<float>(v), 0.375f);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ttsim/core/resilience.hpp"
 #include "ttsim/sim/fault.hpp"
 
@@ -134,6 +136,47 @@ TEST(Resilience, SramResidentSolveSurvivesCoreFailure) {
   EXPECT_EQ(r.cores_used, 3);
   EXPECT_NE(r.fault_summary.find("core-failure"), std::string::npos);
   EXPECT_NE(r.fault_summary.find(" core=2"), std::string::npos);
+}
+
+/// A temporal chunk reads the d2 slot of its grid pair first whenever its
+/// sweep count and its DRAM-pass count differ in parity (4 sweeps at depth
+/// 4 is one pass). Each chunk must still start from the freshest grid, so
+/// the chunked solve matches the reference for every checkpoint/depth mix,
+/// and a core failure replays bit-exactly from the checkpoint.
+TEST(Resilience, TemporalSolveResumesEveryChunkFromTheFreshGrid) {
+  const auto p = small_problem(64, 64, 12);
+  DeviceRunConfig cfg;
+  cfg.strategy = DeviceStrategy::kTemporal;
+  cfg.cores_y = 4;
+  cfg.verify = true;
+  sim::GrayskullSpec spec;
+  spec.worker_cores = 4;
+  const std::pair<int, int> mixes[] = {{4, 4}, {4, 3}, {3, 2}, {5, 4}, {1, 4}};
+  for (const auto& [every, depth] : mixes) {
+    SCOPED_TRACE(testing::Message() << "checkpoint_every=" << every
+                                    << " temporal_depth=" << depth);
+    cfg.temporal_depth = depth;
+    ResilienceOptions opts;
+    opts.checkpoint_every = every;
+    const auto r = run_jacobi_resilient(p, cfg, opts, nullptr, spec);
+    EXPECT_TRUE(r.verified_ok);
+    EXPECT_EQ(r.restarts, 0);
+  }
+
+  cfg.temporal_depth = 4;
+  ResilienceOptions opts;
+  opts.checkpoint_every = 4;
+  const auto clean = run_jacobi_resilient(p, cfg, opts, nullptr, spec);
+  ASSERT_TRUE(clean.verified_ok);
+  sim::FaultConfig fc;
+  fc.seed = 5;
+  fc.core_kills = {{.core = 1, .at = clean.total_time / 2}};
+  const auto r = run_jacobi_resilient(p, cfg, opts,
+                                      std::make_shared<sim::FaultPlan>(fc), spec);
+  EXPECT_TRUE(r.verified_ok);
+  EXPECT_GE(r.restarts, 1);
+  EXPECT_EQ(r.cores_used, 3);
+  EXPECT_EQ(r.solution, clean.solution);
 }
 
 /// Unrecoverable corruption (every transfer corrupted) exhausts the bounded
